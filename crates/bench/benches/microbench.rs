@@ -164,7 +164,7 @@ fn bench_system_throughput(c: &mut Criterion) {
 fn bench_system_loops(c: &mut Criterion) {
     // The same retirement target under both run_instructions loops:
     // `_cycle` is the one-cycle-at-a-time oracle, the unsuffixed bench
-    // the event-driven fast-forward default. The gap is widest on gups,
+    // the default jump loop. The gap is widest on gups,
     // whose random misses keep the core head-blocked on memory for most
     // of its cycles.
     let mut group = c.benchmark_group("system_loop");

@@ -5,7 +5,7 @@
 //!
 //! targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
 //!          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
-//!          faults leveling retention perf sanitize main all
+//!          faults leveling retention perf main all
 //! ```
 //!
 //! `main` runs the shared Figs. 10–17 matrix once and prints all of
@@ -13,19 +13,13 @@
 //! `--full` uses the publication scale (slower); `--tiny` a CI smoke
 //! scale. `perf` is not a paper artifact: it times the controller's
 //! indexed issue path against the legacy scan layout and the system's
-//! event-queue kernel against its two retained oracles (the
-//! one-cycle-at-a-time loop and the polling fast-forward loop) on
-//! full-system runs (always uncached, since it measures wall clock
-//! rather than simulated results), then appends the measurements to
+//! jump loop against its one-cycle-at-a-time oracle on full-system
+//! runs (always uncached, since it measures wall clock rather than
+//! simulated results), then appends the measurements to
 //! `BENCH_controller.json` / `BENCH_system.json` at the repo root.
 //! With `--guard` it additionally exits nonzero when the geomean
 //! speedup regresses below 0.8x the last committed same-scale entry
-//! (the CI perf-smoke check). `sanitize` requires a build with
-//! `--features sanitize`: it runs every Table IV workload through all
-//! three tick loops under the mellow-san event-protocol sanitizer
-//! (always uncached — the point is exercising the protocol, not the
-//! results), so any late wake, stale pop, forbidden dirty site, or
-//! misaligned controller horizon aborts with a cycle-stamped trail.
+//! (the CI perf-smoke check).
 //!
 //! Simulations run on all available cores (`--threads N` overrides) and
 //! land in a JSON-lines result cache (`target/sweep-cache.jsonl` by
@@ -45,7 +39,7 @@ usage: figures <target> [--full|--tiny] [--threads N] [--store PATH] [--no-cache
 
 targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
-         faults leveling retention perf sanitize main all (default)
+         faults leveling retention perf main all (default)
 
   --full        publication scale (slower)
   --tiny        CI smoke scale (fast, not meaningful for artifacts)
@@ -187,15 +181,6 @@ fn main() {
                 exit(1);
             }
         }
-        "sanitize" => {
-            let (report, ok) = sanitize_report(scale, scale_label);
-            out.push_str(&report);
-            if !ok {
-                println!("{out}");
-                eprintln!("sanitize run FAILED: see report above");
-                exit(1);
-            }
-        }
         "main" => print_main(&mut out),
         "all" => {
             out.push_str(&figures::fig1());
@@ -214,8 +199,7 @@ fn main() {
 }
 
 /// Times the indexed issue path against the legacy scan layout and the
-/// event-queue kernel against both retained oracles (the
-/// one-cycle-at-a-time loop and the polling fast-forward loop) on a
+/// jump loop against the one-cycle-at-a-time oracle on a
 /// representative workload spread (streaming, random, write-heavy,
 /// multi-stream), reporting per-workload wall clock plus geomean
 /// speedups. Every row must read `identical` — the paths differ only
@@ -291,30 +275,25 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         scale_label,
     ));
 
-    eprintln!(
-        "timing cycle / fast-forward / event-kernel system loops on {workloads:?} (uncached)..."
-    );
+    eprintln!("timing cycle vs jump system loops on {workloads:?} (uncached)...");
     let rows = compare_system_loops(&workloads, WritePolicy::be_mellow_sc(), scale)
         .expect("perf workloads are Table IV presets");
-    out.push_str(
-        "\n== system tick-loop wall clock (cycle vs fast-forward vs event kernel, be_mellow_sc) ==\n",
-    );
+    out.push_str("\n== system tick-loop wall clock (cycle vs jump loop, be_mellow_sc) ==\n");
     out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>9} {:>11} {:>8}  {}\n",
-        "workload", "instr", "cycle s", "fast s", "event s", "event ips", "speedup", "metrics"
+        "{:<12} {:>10} {:>9} {:>9} {:>11} {:>8}  {}\n",
+        "workload", "instr", "cycle s", "jump s", "jump ips", "speedup", "metrics"
     ));
     let mut log_sum = 0.0;
     let mut sys_records = Vec::new();
     for r in &rows {
         log_sum += r.speedup().ln();
         out.push_str(&format!(
-            "{:<12} {:>10} {:>9.3} {:>9.3} {:>9.3} {:>11.0} {:>7.2}x  {}\n",
+            "{:<12} {:>10} {:>9.3} {:>9.3} {:>11.0} {:>7.2}x  {}\n",
             r.workload,
             r.instructions,
             r.cycle_secs,
-            r.fast_secs,
-            r.event_secs,
-            r.event_ips(),
+            r.jump_secs,
+            r.jump_ips(),
             r.speedup(),
             if r.metrics_match {
                 "identical"
@@ -325,7 +304,7 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         sys_records.push(record(
             format!("run_instructions/{}", r.workload),
             None,
-            Some(r.event_ips()),
+            Some(r.jump_ips()),
             r.speedup(),
             scale_label,
         ));
@@ -333,7 +312,7 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     let sys_geomean = (log_sum / rows.len() as f64).exp();
     out.push_str(&format!("geomean speedup: {sys_geomean:.2}x\n"));
 
-    // The guard compares the geomean speedup (event kernel over the
+    // The guard compares the geomean speedup (jump loop over the
     // cycle oracle, machine-independent by construction) against the
     // last committed same-scale entry, before this run is appended.
     let previous = last_record(
@@ -374,17 +353,16 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         .expect("microbench workloads are Table IV presets");
     out.push_str("\n== run_instructions microbench (20k instructions, 64 KiB LLC) ==\n");
     out.push_str(&format!(
-        "{:<12} {:>12} {:>12} {:>12} {:>11} {:>8}  {}\n",
-        "workload", "cycle ns", "fast ns", "event ns", "event ips", "speedup", "metrics"
+        "{:<12} {:>12} {:>12} {:>11} {:>8}  {}\n",
+        "workload", "cycle ns", "jump ns", "jump ips", "speedup", "metrics"
     ));
     for r in &rows {
         out.push_str(&format!(
-            "{:<12} {:>12.0} {:>12.0} {:>12.0} {:>11.0} {:>7.2}x  {}\n",
+            "{:<12} {:>12.0} {:>12.0} {:>11.0} {:>7.2}x  {}\n",
             r.workload,
             r.cycle_secs * 1e9,
-            r.fast_secs * 1e9,
-            r.event_secs * 1e9,
-            r.event_ips(),
+            r.jump_secs * 1e9,
+            r.jump_ips(),
             r.speedup(),
             if r.metrics_match {
                 "identical"
@@ -394,8 +372,8 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         ));
         sys_records.push(record(
             format!("run_instructions_20k/{}", r.workload),
-            Some(r.event_secs * 1e9 / r.instructions as f64),
-            Some(r.event_ips()),
+            Some(r.jump_secs * 1e9 / r.instructions as f64),
+            Some(r.jump_ips()),
             r.speedup(),
             "micro",
         ));
@@ -415,66 +393,4 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         }
     }
     (out, guard_ok)
-}
-
-/// Runs every Table IV workload through all three tick loops with the
-/// mellow-san runtime sanitizer armed, checking the loops still agree
-/// bit for bit. A protocol violation (late wake, stale-generation pop,
-/// forbidden dirty site, misaligned controller horizon) panics inside
-/// the run with a cycle-stamped event trail, so a completed sweep is
-/// the proof of cleanliness.
-///
-/// Requires a binary built with `--features sanitize`; without it the
-/// shadow checker is compiled out and the run would vacuously pass, so
-/// the target refuses to run instead.
-fn sanitize_report(scale: Scale, scale_label: &str) -> (String, bool) {
-    use mellow_bench::compare_system_loops;
-    use mellow_bench::figures::WORKLOADS;
-    use mellow_core::WritePolicy;
-
-    if !cfg!(feature = "sanitize") {
-        return (
-            "the sanitize target needs the shadow checker compiled in; rebuild with\n  cargo run \
-             -p mellow-bench --features sanitize --release --bin figures -- sanitize\n"
-                .to_owned(),
-            false,
-        );
-    }
-
-    let mut out = String::new();
-    out.push_str(&format!(
-        "== mellow-san: {} workloads x 3 tick loops at {scale_label} scale (be_mellow_sc) ==\n",
-        WORKLOADS.len()
-    ));
-    out.push_str(&format!(
-        "{:<12} {:>9} {:>9} {:>9}  {}\n",
-        "workload", "cycle s", "fast s", "event s", "metrics"
-    ));
-    let mut all_match = true;
-    for w in WORKLOADS {
-        eprintln!("sanitizing {w} (cycle / fast-forward / event loops, uncached)...");
-        let rows = compare_system_loops(&[w], WritePolicy::be_mellow_sc(), scale)
-            .expect("Table IV presets are valid workloads");
-        for r in &rows {
-            all_match &= r.metrics_match;
-            out.push_str(&format!(
-                "{:<12} {:>9.3} {:>9.3} {:>9.3}  {}\n",
-                r.workload,
-                r.cycle_secs,
-                r.fast_secs,
-                r.event_secs,
-                if r.metrics_match {
-                    "identical"
-                } else {
-                    "MISMATCH"
-                }
-            ));
-        }
-    }
-    out.push_str(if all_match {
-        "mellow-san: clean — no protocol violations, loops bit-identical\n"
-    } else {
-        "mellow-san: loops disagree — see MISMATCH rows above\n"
-    });
-    (out, all_match)
 }

@@ -249,21 +249,11 @@ pub struct Cache {
     wb_down: VecDeque<u64>,
     eager: Option<EagerState>,
     stats: CacheStats,
-    /// Resident dirty lines, total and per set. Maintained at the three
-    /// dirty-flip sites (`mark_dirty`, eager clean, dirty eviction) so
-    /// [`eager_probe_span`](Self::eager_probe_span) can prove in O(1)
-    /// that a probe — or a whole span of probes — cannot find a
-    /// candidate (`LruSet::eager_candidate` requires a dirty line).
-    dirty_lines: u64,
+    /// Resident dirty lines per set. Maintained at the three dirty-flip
+    /// sites (`mark_dirty`, eager clean, dirty eviction) so an eager
+    /// probe of a set with no dirty line rejects in O(1)
+    /// (`LruSet::eager_candidate` requires a dirty line).
     set_dirty: Vec<u32>,
-    /// Raised whenever [`next_event`](Self::next_event) may have changed;
-    /// consumed by the event kernel via
-    /// [`take_event_dirty`](Self::take_event_dirty).
-    event_dirty: bool,
-    /// Sites that raised the flag since the kernel last drained them;
-    /// consumed by the sanitizer for forbidden-site attribution.
-    #[cfg(feature = "sanitize")]
-    dirty_sites: Vec<&'static str>,
 }
 
 impl Cache {
@@ -288,18 +278,13 @@ impl Cache {
             wb_down: VecDeque::new(),
             eager: None,
             stats: CacheStats::default(),
-            dirty_lines: 0,
             set_dirty: vec![0; num_sets as usize],
-            event_dirty: true,
-            #[cfg(feature = "sanitize")]
-            dirty_sites: Vec::new(),
             cfg,
         }
     }
 
     /// Attaches the Eager Mellow Writes utility monitor (normally only on
     /// the LLC).
-    // mellow-lint: allow(horizon-protocol) -- setup-time attach before the first refresh; the monitor never feeds next_event
     pub fn enable_eager(&mut self) {
         self.eager = Some(EagerState {
             monitor: UtilityMonitor::new(self.cfg.assoc),
@@ -389,46 +374,6 @@ impl Cache {
         self.stats.input_rejects += ticks.count();
     }
 
-    /// Returns and clears the "my [`next_event`](Self::next_event) may
-    /// have changed" flag. The event kernel polls this instead of
-    /// recomputing the horizon every jump: a cache that reports `false`
-    /// is guaranteed to have the same horizon it last posted.
-    pub fn take_event_dirty(&mut self) -> bool {
-        std::mem::replace(&mut self.event_dirty, false)
-    }
-
-    /// Raises the event-dirty flag, attributing the raise to `site` when
-    /// the sanitizer is compiled in.
-    fn raise_dirty(&mut self, site: &'static str) {
-        self.event_dirty = true;
-        #[cfg(feature = "sanitize")]
-        self.dirty_sites.push(site);
-        #[cfg(not(feature = "sanitize"))]
-        let _ = site;
-    }
-
-    /// Drains the sites that raised the dirty flag since the last drain.
-    #[cfg(feature = "sanitize")]
-    pub fn take_dirty_sites(&mut self) -> Vec<&'static str> {
-        std::mem::take(&mut self.dirty_sites)
-    }
-
-    /// Test hook: raises the dirty flag from an arbitrary `site`, for
-    /// sanitizer violation-injection tests.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_raise_dirty(&mut self, site: &'static str) {
-        self.raise_dirty(site);
-    }
-
-    /// Test hook: suppresses a pending dirty flag (and its sites) so a
-    /// horizon-moving mutation goes unreported — the late-wake violation
-    /// the sanitizer must catch.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_clear_dirty(&mut self) {
-        self.event_dirty = false;
-        self.dirty_sites.clear();
-    }
-
     /// Returns `true` while any output queue (completions, fills up,
     /// misses down, writebacks down) holds an undelivered message — the
     /// owner retries those transfers every cycle, so the cache cannot be
@@ -459,7 +404,6 @@ impl Cache {
             ready: now + self.cfg.hit_latency,
             msg,
         });
-        self.raise_dirty("try_push");
         true
     }
 
@@ -505,7 +449,6 @@ impl Cache {
     /// Panics if no MSHR is outstanding for `line` (protocol violation).
     pub fn deliver_fill(&mut self, line: u64, _now: SimTime) {
         self.stats.fills += 1;
-        self.raise_dirty("deliver_fill");
         let entry = self
             .mshrs
             .take(line)
@@ -532,7 +475,6 @@ impl Cache {
         if let Some(victim) = self.sets[set_idx].insert(tag) {
             let victim_line = self.line_addr(set_idx, victim.tag);
             if victim.dirty {
-                self.dirty_lines -= 1;
                 self.set_dirty[set_idx] -= 1;
                 self.stats.writebacks_out += 1;
                 self.wb_down.push_back(victim_line);
@@ -553,7 +495,6 @@ impl Cache {
         }
         if !state.dirty {
             state.dirty = true;
-            self.dirty_lines += 1;
             self.set_dirty[set_idx] += 1;
         }
     }
@@ -569,7 +510,6 @@ impl Cache {
                 break;
             }
             let msg = head.msg;
-            self.raise_dirty("tick");
             match msg {
                 Incoming::Demand { id, line, is_store } => {
                     if !self.process_demand(id, line, is_store) {
@@ -656,13 +596,11 @@ impl Cache {
 
     /// Removes and returns the next completed demand id (top-level
     /// interface).
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_completion(&mut self) -> Option<AccessId> {
         self.completions.pop_front()
     }
 
     /// Removes and returns the next line available for the level above.
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_fill_up(&mut self) -> Option<u64> {
         self.fills_up.pop_front()
     }
@@ -674,7 +612,6 @@ impl Cache {
     }
 
     /// Removes the fetch returned by [`peek_miss_down`](Self::peek_miss_down).
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_miss_down(&mut self) -> Option<u64> {
         self.miss_down.pop_front()
     }
@@ -687,7 +624,6 @@ impl Cache {
 
     /// Removes the writeback returned by
     /// [`peek_writeback_down`](Self::peek_writeback_down).
-    // mellow-lint: allow(horizon-protocol) -- output pop: draining a done queue cannot move next_event earlier (DESIGN §12)
     pub fn pop_writeback_down(&mut self) -> Option<u64> {
         self.wb_down.pop_front()
     }
@@ -734,64 +670,9 @@ impl Cache {
             .expect("candidate line present");
         state.dirty = false;
         state.eager_cleaned = true;
-        self.dirty_lines -= 1;
         self.set_dirty[set_idx] -= 1;
         self.stats.eager_issued += 1;
         self.line_addr(set_idx, tag)
-    }
-
-    /// Closed-form batch of up to `max_probes` idle-cycle eager probes:
-    /// bit-identical to calling [`eager_candidate`](Self::eager_candidate)
-    /// once per cycle and stopping at the first success, but without
-    /// walking cycles that provably cannot succeed.
-    ///
-    /// Returns `(cycles_consumed, candidate)`: on success the span
-    /// truncates at the successful probe (`cycles_consumed ≤ max_probes`);
-    /// otherwise all `max_probes` cycles are consumed. The RNG stream is
-    /// advanced exactly as the per-cycle loop would advance it — one
-    /// `below(num_sets)` draw per probed cycle, none once the monitor
-    /// reports no useless positions — using [`DetRng::skip`] when no
-    /// resident line is dirty (a probe needs a dirty line to succeed, so
-    /// the whole span's draws are provably discards; the skip is only
-    /// valid when `num_sets` is a power of two, where `below` consumes
-    /// exactly one raw output per call).
-    ///
-    /// The caller must hold the same preconditions frozen across the
-    /// span that the per-cycle loop checks each cycle: LLC input idle,
-    /// eager queue room, and no intervening cache activity (all true
-    /// during a fast-forward jump).
-    pub fn eager_probe_span(&mut self, rng: &mut DetRng, max_probes: u64) -> (u64, Option<u64>) {
-        let Some(eager) = self.eager.as_ref() else {
-            return (max_probes, None);
-        };
-        let floor = eager.monitor.eager_position();
-        if floor >= self.cfg.assoc {
-            // Probes draw nothing and never succeed.
-            return (max_probes, None);
-        }
-        if self.dirty_lines == 0 {
-            // No probe can find a candidate; advance the stream past the
-            // span's draws without executing them.
-            if self.num_sets.is_power_of_two() {
-                rng.skip(max_probes);
-            } else {
-                for _ in 0..max_probes {
-                    rng.below(self.num_sets);
-                }
-            }
-            return (max_probes, None);
-        }
-        for cycle in 1..=max_probes {
-            let set_idx = rng.below(self.num_sets) as usize;
-            if self.set_dirty[set_idx] == 0 {
-                continue; // nothing dirty in this set: the probe misses
-            }
-            if let Some((_pos, tag)) = self.sets[set_idx].eager_candidate(floor) {
-                let line = self.clean_candidate(set_idx, tag);
-                return (cycle, Some(line));
-            }
-        }
-        (max_probes, None)
     }
 
     /// Direct state inspection for tests: `(dirty, eager_cleaned)` of a
@@ -1146,63 +1027,6 @@ mod tests {
         assert!(!c.try_demand(AccessId(9), 9, false, SimTime::ZERO));
         c.fast_forward_rejected_inputs(CoreCycles::new(10));
         assert_eq!(c.stats().input_rejects, 11);
-    }
-
-    /// The closed-form probe span must match the per-cycle probe loop
-    /// bit for bit: same RNG stream position, same candidate, same
-    /// truncation point, same stats and line states.
-    #[test]
-    fn eager_probe_span_matches_per_cycle_probes() {
-        let trained = |dirty_lines: &[u64]| {
-            let mut c = Cache::new(tiny_cfg());
-            c.enable_eager();
-            for &line in dirty_lines {
-                c.try_writeback(line, SimTime::ZERO);
-                run(&mut c, 2);
-            }
-            // All-miss profile: every position useless (floor 0).
-            for i in 0..100u64 {
-                let line = 1000 + 16 * i;
-                c.try_demand(AccessId(99), line, false, SimTime::from_ns(5));
-                run(&mut c, 7);
-                if c.pop_miss_down().is_some() {
-                    c.deliver_fill(line, SimTime::from_ns(8));
-                }
-                c.pop_completion();
-            }
-            c.sample_utility();
-            c
-        };
-        for (dirty, span) in [
-            (vec![], 500u64),       // no dirty lines: pure skip path
-            (vec![3u64], 100),      // one candidate somewhere
-            (vec![1, 2, 3], 1),     // single-probe span
-            (vec![5, 6, 7, 9], 64), // several candidates
-        ] {
-            for seed in 0..8u64 {
-                let mut looped = trained(&dirty);
-                let mut spanned = trained(&dirty);
-                let mut rng_a = DetRng::seed_from(seed);
-                let mut rng_b = rng_a.clone();
-
-                let mut consumed_a = span;
-                let mut found_a = None;
-                for cycle in 1..=span {
-                    if let Some(line) = looped.eager_candidate(&mut rng_a) {
-                        consumed_a = cycle;
-                        found_a = Some(line);
-                        break;
-                    }
-                }
-                let (consumed_b, found_b) = spanned.eager_probe_span(&mut rng_b, span);
-                assert_eq!((consumed_a, found_a), (consumed_b, found_b));
-                assert_eq!(looped.stats(), spanned.stats());
-                assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "RNG streams diverged");
-                for &line in &dirty {
-                    assert_eq!(looped.line_state(line), spanned.line_state(line));
-                }
-            }
-        }
     }
 
     /// Pins the RNG contract the fast-forward batch replay depends on:

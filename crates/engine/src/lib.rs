@@ -13,9 +13,6 @@
 //! - [`TimerQueue`] — a deterministic pending-completion queue used by
 //!   components that have in-flight operations (cache fills, bank busy
 //!   intervals, bus transfers).
-//! - [`HorizonQueue`] — the event kernel's per-source horizon registry:
-//!   components post "my next work is at `t`" events and the main loop
-//!   pops the earliest instead of polling every component.
 //! - [`stats`] — counters, busy-time accumulators and histograms from which
 //!   every figure of the paper is ultimately computed.
 //! - [`DetRng`] — a small deterministic RNG so that identical seeds always
@@ -35,18 +32,14 @@
 //! ```
 
 mod clock;
-mod horizon;
 pub mod json;
 mod queue;
 mod rng;
-#[cfg(feature = "sanitize")]
-pub mod sanitize;
 pub mod stats;
 mod time;
 mod timer;
 
 pub use clock::Clock;
-pub use horizon::HorizonQueue;
 pub use queue::BoundedQueue;
 pub use rng::DetRng;
 pub use time::{CoreCycles, Duration, MemCycles, SimTime};

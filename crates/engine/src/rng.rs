@@ -70,22 +70,6 @@ impl DetRng {
         self.inner.random()
     }
 
-    /// Advances the generator past the next `n` raw 64-bit outputs in
-    /// `O(log n)` without computing them: afterwards the stream continues
-    /// exactly as if [`DetRng::next_u64`] had been called `n` times.
-    ///
-    /// This is the closed-form replacement for draw-replay loops: a span
-    /// of cycles whose draws provably cannot change simulation state can
-    /// be jumped over while keeping the stream bit-identical. Note the
-    /// unit is *raw outputs* — [`DetRng::below`] consumes exactly one
-    /// output per call only when its rejection zone spans the full `u64`
-    /// range (power-of-two bounds); callers skipping `below` draws must
-    /// guarantee that property.
-    #[inline]
-    pub fn skip(&mut self, n: u64) {
-        self.inner.discard(n);
-    }
-
     /// Returns a uniform value in `[0, bound)`.
     ///
     /// # Panics
@@ -147,40 +131,6 @@ mod tests {
         let mut b = DetRng::seed_from(5);
         let _ = b.derive(3);
         assert_eq!(a.next_u64(), b.next_u64());
-    }
-
-    #[test]
-    fn skip_matches_sequential_draws() {
-        // The invariant the event kernel's closed-form eager span relies
-        // on: skip(n) ≡ n discarded next_u64 calls, for counts on both
-        // sides of the sequential/matrix-jump threshold.
-        for &n in &[0u64, 1, 7, 100, 4095, 4096, 50_000, 1 << 20] {
-            let mut jumped = DetRng::seed_from(0xAB5 ^ n);
-            let mut walked = jumped.clone();
-            jumped.skip(n);
-            for _ in 0..n {
-                walked.next_u64();
-            }
-            for _ in 0..16 {
-                assert_eq!(jumped.next_u64(), walked.next_u64(), "skip({n})");
-            }
-        }
-    }
-
-    #[test]
-    fn skip_matches_power_of_two_below_draws() {
-        // `below` with a power-of-two bound consumes exactly one raw
-        // output (the Lemire rejection zone covers all of u64), so
-        // skipping n raw outputs ≡ n discarded below(2^k) draws.
-        for &bound in &[64u64, 128, 512, 2048] {
-            let mut jumped = DetRng::seed_from(bound);
-            let mut walked = jumped.clone();
-            jumped.skip(1000);
-            for _ in 0..1000 {
-                walked.below(bound);
-            }
-            assert_eq!(jumped.below(bound), walked.below(bound));
-        }
     }
 
     #[test]

@@ -97,16 +97,6 @@ impl<T> TimerQueue<T> {
         self.heap.peek().map(|e| (e.due, &e.payload))
     }
 
-    /// Removes and returns the earliest pending entry regardless of the
-    /// current time, or `None` when the queue is empty.
-    ///
-    /// The event kernel uses this to pop the next *horizon* — a future
-    /// instant at which some component next has work — where `pop_due`'s
-    /// at-or-before-`now` gate would be meaningless.
-    pub fn pop(&mut self) -> Option<(SimTime, T)> {
-        self.heap.pop().map(|e| (e.due, e.payload))
-    }
-
     /// Returns the number of pending entries.
     pub fn len(&self) -> usize {
         self.heap.len()

@@ -11,21 +11,14 @@
 //!   instead;
 //! - no `SmallRng` outside `mellow-engine`'s own `rng.rs`;
 //! - no `.clone()` of an rng value — a clone forks one stream into two
-//!   consumers that then drift together;
-//! - `.skip(n)` on an rng only inside span-replay code (functions whose
-//!   name mentions `span`, `fast_forward` or `replay`).
+//!   consumers that then drift together.
 
-use super::common::fn_items;
 use super::{FileCtx, LintRule};
 use crate::lexer::{allowed, Lexed, Tok, TokKind};
 use crate::runner::Scope;
 use crate::{Rule, Violation};
 
-/// Function-name fragments that mark sanctioned span-replay code, where
-/// `skip(n)` reproduces a closed-form fast-forward of the stream.
-const REPLAY_FRAGMENTS: &[&str] = &["span", "fast_forward", "replay"];
-
-/// Is `toks[i]` (the token before a `.clone(`/`.skip(` dot) an
+/// Is `toks[i]` (the token before a `.clone(` dot) an
 /// rng-flavored receiver? Identifier names only — `)`/`]` receivers are
 /// opaque and left alone.
 fn rng_flavored(t: &Tok) -> bool {
@@ -72,16 +65,6 @@ impl LintRule for RngDiscipline {
 fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
     let toks = &lx.toks;
     let n = toks.len();
-    let items = fn_items(toks);
-    let enclosing_is_replay = |i: usize| {
-        items.iter().any(|f| {
-            let (open, close) = f.body;
-            open < close
-                && i > open
-                && i < close
-                && REPLAY_FRAGMENTS.iter().any(|frag| f.name.contains(frag))
-        })
-    };
     let mut out = Vec::new();
     let mut push = |line: u32, message: String| {
         if !allowed(&lx.allows, Rule::RngDiscipline.name(), line) {
@@ -141,18 +124,6 @@ fn check(file: &str, lx: &Lexed, excluded: &[bool]) -> Vec<Violation> {
                 format!(
                     "`{}.clone()` forks one random stream into two consumers; \
                      derive a named child stream instead",
-                    toks[i - 1].text
-                ),
-            );
-        }
-
-        // `.skip(n)` is the span-replay fast-forward — nowhere else.
-        if method.text == "skip" && !enclosing_is_replay(i) {
-            push(
-                method.line,
-                format!(
-                    "`{}.skip(..)` outside span-replay code; skipping draws elsewhere \
-                     desynchronizes the stream from its recorded history",
                     toks[i - 1].text
                 ),
             );

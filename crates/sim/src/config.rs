@@ -36,16 +36,13 @@ pub struct SystemConfig {
     /// on small-capacity configurations.
     pub track_block_wear: bool,
     /// Drive [`System::run_instructions`](crate::System) with the
-    /// legacy one-cycle-at-a-time loop instead of the event-queue
-    /// kernel. The loops produce bit-identical results (the
-    /// equivalence tests assert it); the cycle loop survives as the
-    /// reference oracle, like `MemConfig::use_scan_queues`.
+    /// one-cycle-at-a-time loop instead of the default jump loop. The
+    /// loops produce bit-identical results (the equivalence tests
+    /// assert it); the cycle loop survives as the reference oracle, like
+    /// `MemConfig::use_scan_queues`.
     pub use_cycle_loop: bool,
-    /// Drive [`System::run_instructions`](crate::System) with the
-    /// polling fast-forward loop (recompute `min(next_event...)` over
-    /// every component after each tick) instead of the event-queue
-    /// kernel. A second bit-identical oracle, retained alongside
-    /// `use_cycle_loop`; ignored when `use_cycle_loop` is set.
+    /// Ignored: both non-cycle settings run the one jump loop. Kept so
+    /// existing callers that set it still compile; it selects nothing.
     pub use_fast_forward: bool,
 }
 

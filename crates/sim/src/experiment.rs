@@ -50,17 +50,6 @@ impl Experiment {
         ))
     }
 
-    /// Creates an experiment for a Table IV workload by name.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workload` is not one of the Table IV presets (see
-    /// [`WorkloadSpec::by_name`]).
-    #[deprecated(note = "use `Experiment::try_new`, which reports the valid workload names")]
-    pub fn new(workload: &str, policy: WritePolicy) -> Self {
-        Self::try_new(workload, policy).unwrap_or_else(|e| panic!("unknown workload: {e}"))
-    }
-
     /// Creates an experiment for a custom workload specification.
     pub fn with_spec(spec: WorkloadSpec, policy: WritePolicy) -> Self {
         Experiment {
@@ -275,13 +264,6 @@ mod tests {
         // hmmer (MPKI 1.34) needs far longer than mcf (MPKI 56) to fill
         // the LLC.
         assert!(hmmer.warmup_instructions() > 10 * mcf.warmup_instructions());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown workload")]
-    #[allow(deprecated)]
-    fn unknown_workload_rejected() {
-        let _ = Experiment::new("quake", WritePolicy::norm());
     }
 
     #[test]

@@ -3,50 +3,8 @@
 use crate::{Metrics, SystemConfig};
 use mellow_cache::{line_of, AccessId, Cache};
 use mellow_cpu::{Core, CoreStall, ReqId, TraceSource};
-#[cfg(feature = "sanitize")]
-use mellow_engine::sanitize::Sanitizer;
-use mellow_engine::{CoreCycles, DetRng, HorizonQueue, SimTime};
+use mellow_engine::{CoreCycles, DetRng, SimTime};
 use mellow_memctrl::Controller;
-
-/// Horizon sources for the event kernel's [`HorizonQueue`]: each
-/// component (plus the utility sampler) owns one queue slot. The lint
-/// pass `horizon-source-exhaustiveness` checks that every variant here
-/// has a post site in [`System::refresh_horizons`] and a dispatch arm in
-/// [`System::advance_event`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HorizonSource {
-    /// The utility-monitor sampling boundary (always live).
-    Sample,
-    /// The L1 cache's next input/transfer head coming due.
-    L1,
-    /// The L2 cache's next input/transfer head coming due.
-    L2,
-    /// The last-level cache's next input/transfer head coming due.
-    Llc,
-    /// The memory controller's next actionable memory-clock edge.
-    Ctrl,
-}
-
-impl HorizonSource {
-    /// Every source, in queue-slot order.
-    pub const ALL: [HorizonSource; 5] = [
-        HorizonSource::Sample,
-        HorizonSource::L1,
-        HorizonSource::L2,
-        HorizonSource::Llc,
-        HorizonSource::Ctrl,
-    ];
-
-    /// This source's [`HorizonQueue`] slot.
-    pub fn index(self) -> usize {
-        self as usize
-    }
-
-    /// Inverse of [`index`](Self::index).
-    pub fn from_index(i: usize) -> HorizonSource {
-        Self::ALL[i]
-    }
-}
 
 /// Drains one output queue into a consumer: items transfer in order
 /// until `try_accept` reports the consumer full (backpressure). `peek`
@@ -79,9 +37,8 @@ fn drain<S, T>(
 /// cycle (400 MHz), probing for Eager Mellow Write candidates while the
 /// LLC is idle, and sampling the utility monitor every `T_sample`.
 /// [`run_instructions`](Self::run_instructions) additionally jumps
-/// over provably idle spans using the event kernel's horizon queue
-/// (see DESIGN.md §5 and §12), producing bit-identical results to the
-/// pure cycle loop and to the polling fast-forward oracle.
+/// over provably idle spans (see DESIGN.md §5), producing
+/// bit-identical results to the pure cycle loop.
 ///
 /// Most users should drive it through
 /// [`Experiment`](crate::Experiment), which adds the paper's
@@ -94,20 +51,12 @@ pub struct System {
     llc: Cache,
     ctrl: Controller,
     eager_rng: DetRng,
-    /// Per-source event horizons for the event-kernel loop: components
-    /// post "my next work is at `t`" when their state changes and
-    /// [`advance_event`](Self::advance_event) pops the earliest instead
-    /// of polling every component.
-    horizons: HorizonQueue,
     cycle: CoreCycles,
     now: SimTime,
     measure_start: SimTime,
     next_sample_at: SimTime,
     /// Core cycles per memory cycle (5 for 2 GHz / 400 MHz).
     mem_divisor: u64,
-    /// The mellow-san shadow-state checker (see `mellow_engine::sanitize`).
-    #[cfg(feature = "sanitize")]
-    san: Sanitizer,
 }
 
 impl std::fmt::Debug for System {
@@ -150,32 +99,6 @@ impl System {
         }
         let eager_rng = DetRng::seed_from(cfg.seed).derive(0x000E_A6EE);
         let next_sample_at = SimTime::ZERO + cfg.sample_period();
-        #[cfg(feature = "sanitize")]
-        let san = {
-            // Sites the protocol forbids from raising the dirty flag:
-            // output pops, stats resets and closed-form fast-forwards
-            // cannot move a horizon (DESIGN §12), so a raise from one of
-            // them masks real protocol bugs behind spurious refreshes.
-            const CACHE_FORBIDDEN: &[&str] = &[
-                "pop_completion",
-                "pop_fill_up",
-                "pop_miss_down",
-                "pop_writeback_down",
-                "reset_stats",
-                "fast_forward_stalled",
-                "fast_forward_rejected_inputs",
-            ];
-            let mut san = Sanitizer::new(
-                &["sample", "l1", "l2", "llc", "ctrl"],
-                Some(HorizonSource::Ctrl.index()),
-                cfg.mem.clock.period(),
-            );
-            for src in [HorizonSource::L1, HorizonSource::L2, HorizonSource::Llc] {
-                san.set_forbidden_sites(src.index(), CACHE_FORBIDDEN);
-            }
-            san.set_forbidden_sites(HorizonSource::Ctrl.index(), &["fast_forward_idle"]);
-            san
-        };
         System {
             core,
             l1,
@@ -183,14 +106,11 @@ impl System {
             llc,
             ctrl,
             eager_rng,
-            horizons: HorizonQueue::new(HorizonSource::ALL.len()),
             cycle: CoreCycles::ZERO,
             now: SimTime::ZERO,
             measure_start: SimTime::ZERO,
             next_sample_at,
             mem_divisor: mem_ps / core_ps,
-            #[cfg(feature = "sanitize")]
-            san,
             cfg,
         }
     }
@@ -401,290 +321,32 @@ impl System {
         self.now = c.edge(&clock);
     }
 
-    /// Re-posts the horizon of every component whose event-affecting
-    /// state changed since the last call (the event-dirty protocol:
-    /// each component raises a flag on any mutation that can move its
-    /// `next_event`, and is re-queried only when the flag is set). The
-    /// sampler has no flag; its boundary is re-posted unconditionally —
-    /// posting an unchanged horizon is a no-op.
-    fn refresh_horizons(&mut self) {
-        let now = self.now;
-        self.post_horizon(HorizonSource::Sample, Some(self.next_sample_at));
-        let l1_dirty = self.l1.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.l1.take_dirty_sites();
-            let due = self.l1.next_event(now);
-            self.sanitize_component(HorizonSource::L1, l1_dirty, &sites, due);
-        }
-        if l1_dirty {
-            let due = self.l1.next_event(now);
-            self.post_horizon(HorizonSource::L1, due);
-        }
-        let l2_dirty = self.l2.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.l2.take_dirty_sites();
-            let due = self.l2.next_event(now);
-            self.sanitize_component(HorizonSource::L2, l2_dirty, &sites, due);
-        }
-        if l2_dirty {
-            let due = self.l2.next_event(now);
-            self.post_horizon(HorizonSource::L2, due);
-        }
-        let llc_dirty = self.llc.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.llc.take_dirty_sites();
-            let due = self.llc.next_event(now);
-            self.sanitize_component(HorizonSource::Llc, llc_dirty, &sites, due);
-        }
-        if llc_dirty {
-            let due = self.llc.next_event(now);
-            self.post_horizon(HorizonSource::Llc, due);
-        }
-        let ctrl_dirty = self.ctrl.take_event_dirty();
-        #[cfg(feature = "sanitize")]
-        {
-            let sites = self.ctrl.take_dirty_sites();
-            let due = self.ctrl.next_event().map(|t| self.ctrl_edge(t));
-            self.sanitize_component(HorizonSource::Ctrl, ctrl_dirty, &sites, due);
-        }
-        if ctrl_dirty {
-            // The controller acts only on memory-clock edges, so its
-            // horizon posts pre-aligned to the first edge at or past
-            // the actionable time (see [`ctrl_edge`](Self::ctrl_edge)).
-            // `next_multiple_of` distributes over `max`, so the
-            // per-jump "no earlier than the next cycle" clamp can move
-            // to pop time (`ctrl_floor` in
-            // [`advance_event`](Self::advance_event)) and the posted
-            // horizon stays valid across jumps.
-            let due = self.ctrl.next_event().map(|t| self.ctrl_edge(t));
-            self.post_horizon(HorizonSource::Ctrl, due);
-        }
-    }
-
-    /// The first whole memory-clock edge at or after `t` — the
-    /// alignment every controller horizon posts at.
-    fn ctrl_edge(&self, t: SimTime) -> SimTime {
-        CoreCycles::at_or_after(t, &self.cfg.core_clock)
-            .next_multiple_of(self.mem_divisor)
-            .edge(&self.cfg.core_clock)
-    }
-
-    /// Posts (or, for `None`, withdraws) one source's horizon — the
-    /// single funnel between component `next_event` answers and the
-    /// [`HorizonQueue`], so the sanitizer can shadow every transition.
-    fn post_horizon(&mut self, src: HorizonSource, due: Option<SimTime>) {
-        #[cfg(feature = "sanitize")]
-        self.san.record_post(self.cycle, self.now, src.index(), due);
-        match due {
-            Some(t) => self.horizons.post(src.index(), t),
-            None => self.horizons.withdraw(src.index()),
-        }
-    }
-
-    /// Feeds one component's refresh outcome to the sanitizer: a dirty
-    /// component accounts for its raising sites, a clean one is checked
-    /// for a horizon that silently moved earlier (a late wake).
-    #[cfg(feature = "sanitize")]
-    fn sanitize_component(
-        &mut self,
-        src: HorizonSource,
-        dirty: bool,
-        sites: &[&'static str],
-        due: Option<SimTime>,
-    ) {
-        if dirty {
-            for site in sites {
-                self.san
-                    .record_dirty(self.cycle, self.now, src.index(), site);
-            }
-        } else {
-            self.san
-                .check_posted_horizon(self.cycle, self.now, src.index(), due);
-        }
-    }
-
-    /// Test hook: runs one horizon refresh under the sanitizer.
-    #[cfg(feature = "sanitize")]
-    pub fn sanitize_refresh(&mut self) {
-        self.refresh_horizons();
-    }
-
-    /// Test hook: injects a late wake — pushes new earliest work into
-    /// the L1, then suppresses the dirty flag the push raised, leaving a
-    /// clean component whose true horizon moved earlier than its posted
-    /// one. The next [`sanitize_refresh`](Self::sanitize_refresh) must
-    /// panic.
-    #[cfg(feature = "sanitize")]
-    pub fn inject_late_horizon(&mut self) {
-        self.refresh_horizons();
-        self.l1.try_demand(AccessId(u64::MAX), 0, false, self.now);
-        self.l1.sanitize_clear_dirty();
-    }
-
-    /// Test hook: raises the L1 dirty flag from a site the protocol
-    /// forbids from raising it. The next
-    /// [`sanitize_refresh`](Self::sanitize_refresh) must panic.
-    #[cfg(feature = "sanitize")]
-    pub fn inject_forbidden_dirty_site(&mut self) {
-        self.l1.sanitize_raise_dirty("pop_completion");
-    }
-
-    /// Test hook: posts the controller horizon one picosecond off a
-    /// memory-clock edge. Panics immediately.
-    #[cfg(feature = "sanitize")]
-    pub fn inject_misaligned_ctrl_horizon(&mut self) {
-        let due = self.now + mellow_engine::Duration::from_ps(1);
-        self.post_horizon(HorizonSource::Ctrl, Some(due));
-    }
-
-    /// The event-kernel variant of [`fast_forward`](Self::fast_forward):
-    /// identical jump semantics and bit-identical results, but the next
-    /// horizon comes from the [`HorizonQueue`] — refreshed only for
-    /// components that flagged a state change — instead of re-polling
-    /// every component after every tick, and the skipped eager-probe
-    /// RNG stream is replayed in closed form by
-    /// [`Cache::eager_probe_span`] instead of draw by draw.
-    fn advance_event(&mut self) {
-        self.refresh_horizons();
-        let stall = self.core.stall();
-        match stall {
-            CoreStall::Active => return,
-            CoreStall::Blocked => {}
-            CoreStall::BlockedWantsIssue => {
-                if !self.l1.input_full() {
-                    return;
-                }
-            }
-        }
-        if self.l1.has_pending_transfers()
-            || self.l2.has_pending_transfers()
-            || self.llc.has_pending_transfers()
-        {
-            return;
-        }
-
-        let clock = self.cfg.core_clock;
-        let cycle_at = |t: SimTime| CoreCycles::at_or_after(t, &clock);
-        // Pop horizons in raw-time order until the next raw horizon can
-        // no longer beat the best effective cycle (raw time lower-bounds
-        // the effective cycle), then re-post the inspected entries.
-        let ctrl_floor = (self.cycle + CoreCycles::ONE).next_multiple_of(self.mem_divisor);
-        let mut inspected = [(SimTime::ZERO, 0usize); HorizonSource::ALL.len()];
-        let mut count = 0;
-        let mut best: Option<CoreCycles> = None;
-        while let Some((due, src)) = self.horizons.pop_earliest() {
-            #[cfg(feature = "sanitize")]
-            self.san.record_pop(self.cycle, self.now, src, due);
-            inspected[count] = (due, src);
-            count += 1;
-            let lower = cycle_at(due);
-            if best.is_some_and(|b| lower >= b) {
-                break;
-            }
-            // The pop dispatch: core-clocked sources act at their posted
-            // instant; the controller additionally clamps to the first
-            // whole memory-clock edge after the current cycle.
-            let eff = match HorizonSource::from_index(src) {
-                HorizonSource::Sample
-                | HorizonSource::L1
-                | HorizonSource::L2
-                | HorizonSource::Llc => lower,
-                HorizonSource::Ctrl => lower.max(ctrl_floor),
-            };
-            best = Some(best.map_or(eff, |b| b.min(eff)));
-        }
-        for &(due, src) in &inspected[..count] {
-            self.horizons.repost(src, due);
-        }
-        let Some(next) = best else {
-            return; // unreachable: the sample horizon is always live
-        };
-        if next <= self.cycle + CoreCycles::ONE {
-            return; // something acts on the very next cycle
-        }
-        let skip_to = next - CoreCycles::ONE;
-
-        let start = self.cycle;
-        let mut c = skip_to;
-        // Replay the skipped eager probes in closed form: the span
-        // consumes the same RNG stream as one probe per cycle, and a
-        // successful probe enqueues the eager write — re-arming the
-        // controller — so it truncates the jump at that cycle.
-        if self.cfg.policy.base.uses_eager() && self.llc.input_idle() && self.ctrl.eager_has_room()
-        {
-            let (consumed, candidate) = self
-                .llc
-                .eager_probe_span(&mut self.eager_rng, (skip_to - start).count());
-            if let Some(line) = candidate {
-                c = start + CoreCycles::new(consumed);
-                self.ctrl.try_eager(line, c.edge(&clock));
-            } else {
-                debug_assert_eq!(consumed, (skip_to - start).count());
-            }
-        }
-        let skipped = c - start;
-        self.core.fast_forward(skipped);
-        if stall == CoreStall::BlockedWantsIssue {
-            self.l1.fast_forward_rejected_inputs(skipped);
-        }
-        for cache in [&mut self.l1, &mut self.l2, &mut self.llc] {
-            if cache.head_stalled_on_mshrs(self.now) {
-                cache.fast_forward_stalled(skipped);
-            }
-        }
-        self.ctrl
-            .fast_forward_idle(c.to_mem(self.mem_divisor) - start.to_mem(self.mem_divisor));
-        self.cycle = c;
-        self.now = c.edge(&clock);
-    }
-
     /// Runs until `n` more instructions retire.
     ///
-    /// By default the event kernel drives the run: after each tick,
-    /// provably idle spans are jumped directly to one cycle before the
-    /// earliest posted horizon — a cache input head coming due, the
-    /// controller's actionable memory-clock edge, or the
-    /// utility-monitor sample boundary — batch-replaying the skipped
-    /// ticks' side effects (see
-    /// [`advance_event`](Self::advance_event)). Two oracle loops
-    /// produce bit-identical results and survive for the equivalence
-    /// tests: [`SystemConfig::use_cycle_loop`] ticks every cycle, and
-    /// [`SystemConfig::use_fast_forward`] jumps by re-polling every
-    /// component's `next_event` hook instead of using the horizon
-    /// queue (see [`fast_forward`](Self::fast_forward)).
+    /// By default, after each tick, provably idle spans are jumped
+    /// directly to one cycle before the earliest next event — a cache
+    /// input head coming due, the controller's actionable memory-clock
+    /// edge, or the utility-monitor sample boundary — batch-replaying
+    /// the skipped ticks' side effects (see
+    /// [`fast_forward`](Self::fast_forward)).
+    /// [`SystemConfig::use_cycle_loop`] selects the oracle that ticks
+    /// every cycle instead; it produces bit-identical results and
+    /// survives for the equivalence tests.
     ///
     /// # Panics
     ///
     /// Panics if the system fails to retire them within `400 × n + 10⁷`
     /// cycles (a deadlock would otherwise spin forever).
     pub fn run_instructions(&mut self, n: u64) {
-        enum Loop {
-            Cycle,
-            FastForward,
-            Event,
-        }
-        let kind = if self.cfg.use_cycle_loop {
-            Loop::Cycle
-        } else if self.cfg.use_fast_forward {
-            Loop::FastForward
-        } else {
-            Loop::Event
-        };
+        let jump = !self.cfg.use_cycle_loop;
         let target = self.core.retired_instructions() + n;
         let cycle_cap = self.cycle + CoreCycles::new(400 * n + 10_000_000);
         while self.core.retired_instructions() < target {
             self.tick();
             // Never jump past the tick that retires the final
             // instruction: the loops must exit at the same cycle.
-            if self.core.retired_instructions() < target {
-                match kind {
-                    Loop::Cycle => {}
-                    Loop::FastForward => self.fast_forward(),
-                    Loop::Event => self.advance_event(),
-                }
+            if jump && self.core.retired_instructions() < target {
+                self.fast_forward();
             }
             assert!(
                 self.cycle < cycle_cap,
@@ -808,14 +470,12 @@ mod tests {
         assert_eq!(sys.next_sample_at, SimTime::from_ps(1800));
     }
 
-    /// Runs the same trace under all three loops (cycle oracle, polling
-    /// fast-forward oracle, event kernel) and asserts bit-identical
-    /// metrics and internal clocks.
+    /// Runs the same trace under both loops (cycle oracle, jump loop)
+    /// and asserts bit-identical metrics and internal clocks.
     fn assert_loops_identical(policy: WritePolicy, store_every: u64, instructions: u64) {
-        let run = |cycle_loop: bool, fast_forward: bool| {
+        let run = |cycle_loop: bool| {
             let mut cfg = scaled_config(policy);
             cfg.use_cycle_loop = cycle_loop;
-            cfg.use_fast_forward = fast_forward;
             let mut sys = System::new(cfg, Synth::new(0xDECAF, store_every));
             sys.run_instructions(instructions / 2);
             sys.begin_measurement();
@@ -826,15 +486,11 @@ mod tests {
                 sys.metrics("synth").to_json().to_string(),
             )
         };
-        let (slow_cycle, slow_now, slow) = run(true, false);
-        let (ff_cycle, ff_now, ff) = run(false, true);
-        let (ev_cycle, ev_now, ev) = run(false, false);
+        let (slow_cycle, slow_now, slow) = run(true);
+        let (ff_cycle, ff_now, ff) = run(false);
         assert_eq!(slow_cycle, ff_cycle, "fast-forward diverged in cycles");
         assert_eq!(slow_now, ff_now);
         assert_eq!(slow, ff, "fast-forward diverged in metrics");
-        assert_eq!(slow_cycle, ev_cycle, "event kernel diverged in cycles");
-        assert_eq!(slow_now, ev_now);
-        assert_eq!(slow, ev, "event kernel diverged in metrics");
     }
 
     #[test]

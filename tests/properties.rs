@@ -375,8 +375,7 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
-    /// The event-driven fast-forward system loop reproduces the legacy
-    /// cycle loop bit for bit for any Table IV workload, policy, and
+    /// The jump loop reproduces the cycle loop bit for bit for any Table IV workload, policy, and
     /// seed (`SystemConfig::use_cycle_loop` is the oracle).
     #[test]
     fn system_tick_loops_equivalent(
@@ -412,16 +411,15 @@ proptest! {
         prop_assert_eq!(run(true), run(false));
     }
 
-    /// The event-queue kernel reproduces both oracle loops — the pure
-    /// cycle loop and the polling fast-forward loop — bit for bit under
+    /// The jump loop reproduces the cycle-loop oracle bit for bit under
     /// randomized system shapes: controller queue depths (and drain
     /// thresholds derived from them), eager policies, the memory-clock
     /// divisor, and the utility-monitor sample period. This is the
-    /// 256-case sweep guarding the event kernel's horizon bookkeeping
-    /// (stale-horizon withdrawal, pre-aligned controller posting, and
-    /// the closed-form eager-probe RNG replay).
+    /// 256-case sweep guarding the jump decision (controller-edge
+    /// alignment, sample-boundary clamping, and the draw-by-draw
+    /// eager-probe RNG replay).
     #[test]
-    fn event_kernel_equivalent_under_random_configs(
+    fn jump_loop_equivalent_under_random_configs(
         policy in arb_policy(),
         wl in 0usize..16,
         seed in any::<u64>(),
@@ -438,7 +436,7 @@ proptest! {
         let name = names[wl % names.len()].clone();
         // Memory clocks that divide the 2 GHz core clock evenly.
         let mem_mhz = [1000u64, 500, 400, 250, 200][div_idx];
-        let run = |cycle_loop: bool, fast_forward: bool| {
+        let run = |cycle_loop: bool| {
             let mut spec = WorkloadSpec::by_name(&name).unwrap();
             spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
             spec.working_set_bytes = spec.working_set_bytes.min(8 << 20);
@@ -459,14 +457,11 @@ proptest! {
                     c.mem.drain_high = write_cap;
                     c.mem.drain_low = write_cap / 2;
                     c.use_cycle_loop = cycle_loop;
-                    c.use_fast_forward = fast_forward;
                 })
                 .run()
                 .to_json()
                 .to_string()
         };
-        let cycle = run(true, false);
-        prop_assert_eq!(&cycle, &run(false, true));
-        prop_assert_eq!(cycle, run(false, false));
+        prop_assert_eq!(run(true), run(false));
     }
 }
