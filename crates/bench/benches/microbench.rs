@@ -2,10 +2,10 @@
 //!
 //! These measure the cost of the data structures the cycle loop leans
 //! on (LRU stacks, Start-Gap remapping, the utility monitor, timer
-//! queues, the controller tick) plus end-to-end simulated-instruction
-//! throughput of the wired system. They guard the simulator's own
-//! performance, not the paper's results — those come from the `figures`
-//! binary.
+//! queues, the controller tick, the core tick) plus end-to-end
+//! simulated-instruction throughput of the wired system. They guard the
+//! simulator's own performance, not the paper's results — those come
+//! from the `figures` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mellow_core::{UtilityMonitor, WritePolicy};
@@ -13,7 +13,7 @@ use mellow_engine::{DetRng, SimTime, TimerQueue};
 use mellow_memctrl::{Controller, MemConfig};
 use mellow_nvm::{CancelWear, EnduranceModel, StartGap};
 use mellow_sim::Experiment;
-use mellow_workloads::WorkloadSpec;
+use mellow_workloads::{SyntheticWorkload, WorkloadSpec};
 use std::hint::black_box;
 
 fn bench_lru(c: &mut Criterion) {
@@ -138,6 +138,34 @@ fn bench_controller_tick(c: &mut Criterion) {
     });
 }
 
+fn bench_core_tick(c: &mut Criterion) {
+    use mellow_cpu::{Core, CoreConfig, ReqId};
+    // A bare core on hmmer's trace, whose hot set stays in the L1: each
+    // accepted access completes two ticks after the one that issued it,
+    // so this times the core's own retire/dispatch/issue/complete work
+    // per tick with no hierarchy behind it.
+    c.bench_function("core_tick_hot_l1", |b| {
+        let spec = WorkloadSpec::try_by_name("hmmer").unwrap();
+        let trace = SyntheticWorkload::new(spec, 1);
+        let mut core = Core::new(CoreConfig::default(), Box::new(trace));
+        // Slot `t % 2` holds the accesses issued at tick `t - 2`.
+        let mut issued: [Vec<ReqId>; 2] = Default::default();
+        let mut t = 0usize;
+        b.iter(|| {
+            let slot = &mut issued[t % 2];
+            for id in slot.drain(..) {
+                core.complete(id);
+            }
+            core.tick(|access| {
+                slot.push(access.id);
+                true
+            });
+            t += 1;
+            black_box(core.rob_occupancy())
+        });
+    });
+}
+
 fn bench_system_throughput(c: &mut Criterion) {
     let mut group = c.benchmark_group("system");
     group.sample_size(10);
@@ -219,6 +247,7 @@ criterion_group!(
     bench_timer_queue,
     bench_endurance,
     bench_controller_tick,
+    bench_core_tick,
     bench_system_throughput,
     bench_system_loops,
     bench_sweep_overhead,

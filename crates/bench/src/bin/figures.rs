@@ -17,9 +17,10 @@
 //! runs (always uncached, since it measures wall clock rather than
 //! simulated results), then appends the measurements to
 //! `BENCH_controller.json` / `BENCH_system.json` at the repo root.
-//! With `--guard` it additionally exits nonzero when the geomean
-//! speedup regresses below 0.8x the last committed same-scale entry
-//! (the CI perf-smoke check).
+//! With `--guard` it additionally exits nonzero when any row's two
+//! paths computed different metrics, or when the geomean speedup
+//! regresses below 0.8x the last committed same-scale entry (the CI
+//! perf-smoke check).
 //!
 //! Simulations run on all available cores (`--threads N` overrides) and
 //! land in a JSON-lines result cache (`target/sweep-cache.jsonl` by
@@ -46,9 +47,10 @@ targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
   --threads N   worker threads (default: all cores)
   --store PATH  result cache file (default: target/sweep-cache.jsonl)
   --no-cache    run every cell, ignore and don't write the cache
-  --guard       (perf only) exit nonzero if the run_instructions geomean
-                speedup regresses below 0.8x the last committed
-                same-scale BENCH_system.json entry";
+  --guard       (perf only) exit nonzero if any row reads MISMATCH, or
+                if the run_instructions geomean speedup regresses below
+                0.8x the last committed same-scale BENCH_system.json
+                entry";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -207,9 +209,8 @@ fn main() {
 /// appended to `BENCH_controller.json` / `BENCH_system.json` at the
 /// repository root.
 ///
-/// Returns the report and whether the `--guard` regression check
-/// passed (always true when `guard` is off or no previous same-scale
-/// entry exists).
+/// Returns the report and whether the `--guard` check passed (always
+/// true when `guard` is off; see [`guard_verdict`]).
 fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     use mellow_bench::trajectory::{
         append_records, git_state, last_record, machine_threads, repo_root, BenchRecord,
@@ -231,6 +232,8 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
         dirty,
     };
     let mut out = String::new();
+    // (table, workload) of every row whose two paths disagree.
+    let mut mismatches: Vec<(&str, String)> = Vec::new();
 
     eprintln!("timing scan vs indexed issue paths on {workloads:?} (uncached)...");
     let rows = compare_issue_paths(&workloads, WritePolicy::be_mellow_sc(), scale)
@@ -244,6 +247,9 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     let mut ctrl_records = Vec::new();
     for r in &rows {
         log_sum += r.speedup().ln();
+        if !r.metrics_match {
+            mismatches.push(("controller issue-path", r.workload.clone()));
+        }
         out.push_str(&format!(
             "{:<12} {:>10} {:>9.3} {:>9.3} {:>7.2}x  {}\n",
             r.workload,
@@ -251,11 +257,7 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
             r.scan_secs,
             r.indexed_secs,
             r.speedup(),
-            if r.metrics_match {
-                "identical"
-            } else {
-                "MISMATCH"
-            }
+            metrics_cell(r.metrics_match)
         ));
         ctrl_records.push(record(
             format!("issue_path/{}", r.workload),
@@ -287,6 +289,9 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     let mut sys_records = Vec::new();
     for r in &rows {
         log_sum += r.speedup().ln();
+        if !r.metrics_match {
+            mismatches.push(("system tick-loop", r.workload.clone()));
+        }
         out.push_str(&format!(
             "{:<12} {:>10} {:>9.3} {:>9.3} {:>11.0} {:>7.2}x  {}\n",
             r.workload,
@@ -295,11 +300,7 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
             r.jump_secs,
             r.jump_ips(),
             r.speedup(),
-            if r.metrics_match {
-                "identical"
-            } else {
-                "MISMATCH"
-            }
+            metrics_cell(r.metrics_match)
         ));
         sys_records.push(record(
             format!("run_instructions/{}", r.workload),
@@ -314,32 +315,13 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
 
     // The guard compares the geomean speedup (jump loop over the
     // cycle oracle, machine-independent by construction) against the
-    // last committed same-scale entry, before this run is appended.
+    // last committed same-scale entry, read before this run is appended.
     let previous = last_record(
         &repo_root().join("BENCH_system.json"),
         "run_instructions/geomean",
         scale_label,
     )
     .and_then(|r| r.get("speedup").and_then(mellow_engine::json::Json::as_f64));
-    let mut guard_ok = true;
-    if guard {
-        match previous {
-            Some(prev) if sys_geomean < 0.8 * prev => {
-                guard_ok = false;
-                out.push_str(&format!(
-                    "perf guard: FAIL — geomean {sys_geomean:.2}x is below 0.8x the last \
-                     committed {scale_label}-scale entry ({prev:.2}x)\n"
-                ));
-            }
-            Some(prev) => out.push_str(&format!(
-                "perf guard: ok — geomean {sys_geomean:.2}x vs last committed \
-                 {scale_label}-scale entry {prev:.2}x\n"
-            )),
-            None => out.push_str(&format!(
-                "perf guard: no previous {scale_label}-scale entry, nothing to compare\n"
-            )),
-        }
-    }
     sys_records.push(record(
         "run_instructions/geomean".to_owned(),
         None,
@@ -349,26 +331,39 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
     ));
 
     eprintln!("timing run_instructions microbench (20k instructions, scaled caches)...");
-    let rows = microbench_system_loops(&["gups", "stream"], 10)
+    // Not part of the geomean: hmmer is core-bound, and adding it would
+    // break comparability with the committed tick-loop baselines.
+    let rows = microbench_system_loops(&["gups", "stream", "hmmer"], 10)
         .expect("microbench workloads are Table IV presets");
     out.push_str("\n== run_instructions microbench (20k instructions, 64 KiB LLC) ==\n");
     out.push_str(&format!(
-        "{:<12} {:>12} {:>12} {:>11} {:>8}  {}\n",
-        "workload", "cycle ns", "jump ns", "jump ips", "speedup", "metrics"
+        "{:<12} {:>12} {:>12} {:>11} {:>8} {:>8} {:>9} {:>8}  {}\n",
+        "workload",
+        "cycle ns",
+        "jump ns",
+        "jump ips",
+        "ticks",
+        "jumps",
+        "skipped",
+        "speedup",
+        "metrics"
     ));
     for r in &rows {
+        if !r.metrics_match {
+            mismatches.push(("run_instructions microbench", r.workload.clone()));
+        }
+        let work = r.jump_work.unwrap_or_default();
         out.push_str(&format!(
-            "{:<12} {:>12.0} {:>12.0} {:>11.0} {:>7.2}x  {}\n",
+            "{:<12} {:>12.0} {:>12.0} {:>11.0} {:>8} {:>8} {:>9} {:>7.2}x  {}\n",
             r.workload,
             r.cycle_secs * 1e9,
             r.jump_secs * 1e9,
             r.jump_ips(),
+            work.executed_ticks,
+            work.jumps,
+            work.skipped_cycles.count(),
             r.speedup(),
-            if r.metrics_match {
-                "identical"
-            } else {
-                "MISMATCH"
-            }
+            metrics_cell(r.metrics_match)
         ));
         sys_records.push(record(
             format!("run_instructions_20k/{}", r.workload),
@@ -392,5 +387,90 @@ fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
             Err(e) => eprintln!("could not write {}: {e}", path.display()),
         }
     }
+    let mut guard_ok = true;
+    if guard {
+        let (ok, lines) = guard_verdict(&mismatches, sys_geomean, previous, scale_label);
+        guard_ok = ok;
+        out.push_str(&lines);
+    }
     (out, guard_ok)
+}
+
+/// The `metrics` column of a perf row.
+fn metrics_cell(matched: bool) -> &'static str {
+    if matched {
+        "identical"
+    } else {
+        "MISMATCH"
+    }
+}
+
+/// The `--guard` verdict on a perf run: it fails on every
+/// `(table, workload)` row in `mismatches`, whose two paths computed
+/// different metrics, and when the tick-loop `geomean` speedup is below
+/// 0.8x `previous`, the last committed same-scale entry. Returns
+/// whether the run passed and one report line per finding.
+fn guard_verdict(
+    mismatches: &[(&str, String)],
+    geomean: f64,
+    previous: Option<f64>,
+    scale_label: &str,
+) -> (bool, String) {
+    let mut lines = String::new();
+    for (table, workload) in mismatches {
+        lines.push_str(&format!(
+            "perf guard: FAIL — {table} table, {workload}: the two paths' metrics MISMATCH\n"
+        ));
+    }
+    let mut ok = mismatches.is_empty();
+    match previous {
+        Some(prev) if geomean < 0.8 * prev => {
+            ok = false;
+            lines.push_str(&format!(
+                "perf guard: FAIL — geomean {geomean:.2}x is below 0.8x the last \
+                 committed {scale_label}-scale entry ({prev:.2}x)\n"
+            ));
+        }
+        Some(prev) => lines.push_str(&format!(
+            "perf guard: geomean ok — {geomean:.2}x vs last committed \
+             {scale_label}-scale entry {prev:.2}x\n"
+        )),
+        None => lines.push_str(&format!(
+            "perf guard: no previous {scale_label}-scale entry, nothing to compare\n"
+        )),
+    }
+    (ok, lines)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::guard_verdict;
+
+    #[test]
+    fn guard_passes_a_clean_run_at_speed() {
+        let (ok, lines) = guard_verdict(&[], 2.3, Some(2.16), "tiny");
+        assert!(ok, "{lines}");
+        let (ok, lines) = guard_verdict(&[], 2.3, None, "tiny");
+        assert!(ok, "{lines}");
+    }
+
+    #[test]
+    fn guard_fails_on_a_metrics_mismatch() {
+        let mismatches = [("system tick-loop", "gups".to_owned())];
+        let (ok, lines) = guard_verdict(&mismatches, 2.3, Some(2.16), "tiny");
+        assert!(!ok);
+        assert!(
+            lines.contains("system tick-loop table, gups"),
+            "the failure names table and workload: {lines}"
+        );
+        // Even with no baseline to compare the speedup against.
+        assert!(!guard_verdict(&mismatches, 2.3, None, "tiny").0);
+    }
+
+    #[test]
+    fn guard_fails_on_a_low_speedup_ratio() {
+        let (ok, lines) = guard_verdict(&[], 1.5, Some(2.16), "tiny");
+        assert!(!ok);
+        assert!(lines.contains("below 0.8x"), "{lines}");
+    }
 }

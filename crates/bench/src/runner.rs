@@ -1,7 +1,7 @@
 //! Scale-aware experiment construction.
 
 use mellow_core::WritePolicy;
-use mellow_sim::Experiment;
+use mellow_sim::{Experiment, SimStats};
 use mellow_workloads::{UnknownWorkload, WorkloadSpec};
 
 /// How much simulation to spend per `(workload, policy)` run.
@@ -162,6 +162,9 @@ pub struct LoopComparison {
     /// Whether both loops produced bit-identical
     /// [`Metrics`](mellow_sim::Metrics) rows.
     pub metrics_match: bool,
+    /// The jump loop's work counters, where the run exposes them
+    /// ([`microbench_system_loops`] only).
+    pub jump_work: Option<SimStats>,
 }
 
 impl LoopComparison {
@@ -216,6 +219,7 @@ pub fn compare_system_loops(
                 instructions,
                 metrics_match: cycle_metrics.to_json().to_string()
                     == jump_metrics.to_json().to_string(),
+                jump_work: None,
             })
         })
         .collect()
@@ -229,7 +233,8 @@ pub fn compare_system_loops(
 /// effects: with a 64 KiB LLC a random-access workload head-blocks the
 /// core for most of its cycles, which is where the jump loop pays off
 /// most. The gups row is the speedup number the `BENCH_system.json`
-/// trajectory tracks.
+/// trajectory tracks; an hmmer row, whose 16 KiB hot set stays in the
+/// caches, tracks the per-tick cost of the core.
 pub fn microbench_system_loops(
     workloads: &[&str],
     reps: u32,
@@ -243,6 +248,7 @@ pub fn microbench_system_loops(
             let timed = |cycle_loop: bool| {
                 let mut secs = 0.0;
                 let mut metrics_json = String::new();
+                let mut work = SimStats::default();
                 for _ in 0..reps.max(1) {
                     let mut system =
                         Experiment::with_spec(spec.clone(), WritePolicy::be_mellow_sc())
@@ -257,17 +263,19 @@ pub fn microbench_system_loops(
                     system.run_instructions(INSTRUCTIONS);
                     secs += start.elapsed().as_secs_f64();
                     metrics_json = system.metrics(w).to_json().to_string();
+                    work = system.sim_stats();
                 }
-                (secs / reps.max(1) as f64, metrics_json)
+                (secs / reps.max(1) as f64, metrics_json, work)
             };
-            let (cycle_secs, cycle_metrics) = timed(true);
-            let (jump_secs, jump_metrics) = timed(false);
+            let (cycle_secs, cycle_metrics, _) = timed(true);
+            let (jump_secs, jump_metrics, jump_work) = timed(false);
             Ok(LoopComparison {
                 workload: w.to_owned(),
                 cycle_secs,
                 jump_secs,
                 instructions: INSTRUCTIONS,
                 metrics_match: cycle_metrics == jump_metrics,
+                jump_work: Some(jump_work),
             })
         })
         .collect()

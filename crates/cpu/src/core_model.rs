@@ -88,17 +88,39 @@ enum MemState {
     Done,
 }
 
-#[derive(Debug, Clone)]
-enum Entry {
-    /// A run of non-memory instructions.
-    NonMem(u32),
-    Mem {
-        id: ReqId,
-        addr: u64,
-        is_store: bool,
-        depends: bool,
-        state: MemState,
-    },
+/// One memory op in the ROB, carrying the run of non-memory
+/// instructions dispatched between the previous memory op and it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemEntry {
+    /// Non-memory instructions older than this op and younger than the
+    /// memory op before it.
+    before: u32,
+    addr: u64,
+    is_store: bool,
+    depends: bool,
+    state: MemState,
+}
+
+impl MemEntry {
+    /// Loads retire once their data arrived, stores once the L1
+    /// accepted them.
+    fn retirable(&self) -> bool {
+        match self.state {
+            MemState::Waiting => false,
+            MemState::Issued => self.is_store,
+            MemState::Done => true,
+        }
+    }
+}
+
+/// Moves `cursor`, an id in the ROB window, forward past every op
+/// `skip` accepts.
+fn advance(rob: &VecDeque<MemEntry>, head_id: u64, cursor: &mut u64, skip: fn(&MemEntry) -> bool) {
+    let mut i = (*cursor - head_id) as usize;
+    while rob.get(i).is_some_and(skip) {
+        i += 1;
+    }
+    *cursor = head_id + i as u64;
 }
 
 /// The trace-driven out-of-order core.
@@ -108,23 +130,40 @@ enum Entry {
 /// (returning `false` to stall the core when the L1 cannot accept it).
 /// Report load completions with [`complete`](Self::complete).
 ///
+/// The ROB holds only its memory ops, in program order; each folds the
+/// non-memory run ahead of it into a count. Ids are handed out one per
+/// memory op, so the op with id `head_id + i` sits at index `i`: a
+/// completion is an index, and issue starts from cursors on the oldest
+/// `Waiting` and oldest not-`Done` op instead of scanning from the
+/// head. Per-cycle cost follows the work done, not the ROB size.
+///
 /// See the crate-level documentation for an end-to-end example.
 pub struct Core {
     cfg: CoreConfig,
     trace: Box<dyn TraceSource>,
-    rob: VecDeque<Entry>,
+    /// The memory ops in the ROB, oldest first.
+    rob: VecDeque<MemEntry>,
+    /// Id of `rob[0]`; the next id handed out is `head_id + rob.len()`.
+    head_id: u64,
+    /// Non-memory instructions younger than the youngest memory op.
+    tail_nonmem: u32,
     /// ROB occupancy in instructions.
     rob_insts: u32,
     /// Non-memory instructions of the current record not yet dispatched.
     pending_nonmem: u32,
     /// The current record's memory op, once its `nonmem` prefix is in.
     pending_op: Option<crate::MemOp>,
-    /// ROB entries in `MemState::Waiting`. Maintained at the three
-    /// state-transition sites so [`stall`](Self::stall) can classify a
-    /// fully-issued ROB as `Blocked` in O(1) instead of scanning all
-    /// `rob_entries` every fast-forward attempt.
+    /// Ops in `MemState::Waiting`.
     waiting_ops: u32,
-    next_id: u64,
+    /// `Waiting` ops without `depends`: the only ones that may issue
+    /// behind an incomplete op.
+    waiting_free: u32,
+    /// Id of the oldest `Waiting` op, or the next id if none. States
+    /// only move `Waiting → Issued → Done` and ops append at the tail,
+    /// so this cursor and `first_open` only move forward.
+    first_waiting: u64,
+    /// Id of the oldest op not `Done`, or the next id if none.
+    first_open: u64,
     stats: CoreStats,
 }
 
@@ -155,11 +194,15 @@ impl Core {
             cfg,
             trace,
             rob: VecDeque::new(),
+            head_id: 0,
+            tail_nonmem: 0,
             rob_insts: 0,
             pending_nonmem: 0,
             pending_op: None,
             waiting_ops: 0,
-            next_id: 0,
+            waiting_free: 0,
+            first_waiting: 0,
+            first_open: 0,
             stats: CoreStats::default(),
         }
     }
@@ -180,48 +223,45 @@ impl Core {
 
     fn retire(&mut self) {
         let mut budget = self.cfg.issue_width;
-        let mut retired_any = false;
         let mut head_blocked = false;
         while budget > 0 {
-            match self.rob.front_mut() {
+            // The non-memory run ahead of the oldest memory op.
+            let run = match self.rob.front_mut() {
+                Some(head) => &mut head.before,
+                None => &mut self.tail_nonmem,
+            };
+            let take = (*run).min(budget);
+            *run -= take;
+            budget -= take;
+            if budget == 0 {
+                break;
+            }
+            match self.rob.front() {
+                Some(head) if head.retirable() => {
+                    self.rob.pop_front();
+                    self.head_id += 1;
+                    budget -= 1;
+                }
+                Some(head) => {
+                    head_blocked = !head.is_store;
+                    break;
+                }
                 None => break,
-                Some(Entry::NonMem(n)) => {
-                    let take = (*n).min(budget);
-                    *n -= take;
-                    budget -= take;
-                    self.rob_insts -= take;
-                    self.stats.retired_instructions += take as u64;
-                    retired_any |= take > 0;
-                    if *n == 0 {
-                        self.rob.pop_front();
-                    }
-                }
-                Some(Entry::Mem {
-                    is_store, state, ..
-                }) => {
-                    let can_retire = match (*is_store, *state) {
-                        // Loads must have their data.
-                        (false, MemState::Done) => true,
-                        (false, _) => false,
-                        // Stores retire once the L1 accepted them.
-                        (true, MemState::Issued) | (true, MemState::Done) => true,
-                        (true, MemState::Waiting) => false,
-                    };
-                    if can_retire {
-                        self.rob.pop_front();
-                        self.rob_insts -= 1;
-                        self.stats.retired_instructions += 1;
-                        budget -= 1;
-                        retired_any = true;
-                    } else {
-                        head_blocked = !*is_store;
-                        break;
-                    }
-                }
             }
         }
-        if !retired_any && head_blocked {
+        let retired = self.cfg.issue_width - budget;
+        self.rob_insts -= retired;
+        self.stats.retired_instructions += u64::from(retired);
+        if retired == 0 && head_blocked {
             self.stats.head_blocked_cycles += CoreCycles::ONE;
+        }
+        // A store retires once issued, so the oldest open op may have
+        // left the ROB.
+        if self.first_open < self.head_id {
+            self.first_open = self.head_id;
+            advance(&self.rob, self.head_id, &mut self.first_open, |e| {
+                e.state == MemState::Done
+            });
         }
     }
 
@@ -242,32 +282,28 @@ impl Core {
                 let take = self.pending_nonmem.min(budget).min(room);
                 self.pending_nonmem -= take;
                 self.rob_insts += take;
+                self.tail_nonmem += take;
                 budget -= take;
-                match self.rob.back_mut() {
-                    Some(Entry::NonMem(n)) => *n += take,
-                    _ => self.rob.push_back(Entry::NonMem(take)),
-                }
                 if self.pending_nonmem > 0 {
                     break; // budget or ROB exhausted mid-run
                 }
             }
             if budget > 0 && self.rob_insts < self.cfg.rob_entries {
                 if let Some(op) = self.pending_op.take() {
-                    let id = ReqId(self.next_id);
-                    self.next_id += 1;
                     if op.is_store {
                         self.stats.stores += 1;
                     } else {
                         self.stats.loads += 1;
                     }
-                    self.rob.push_back(Entry::Mem {
-                        id,
+                    self.rob.push_back(MemEntry {
+                        before: std::mem::take(&mut self.tail_nonmem),
                         addr: op.addr,
                         is_store: op.is_store,
                         depends: op.depends_on_prev,
                         state: MemState::Waiting,
                     });
                     self.waiting_ops += 1;
+                    self.waiting_free += u32::from(!op.depends_on_prev);
                     self.rob_insts += 1;
                     budget -= 1;
                 }
@@ -276,42 +312,49 @@ impl Core {
     }
 
     fn issue_ready<F: FnMut(MemAccess) -> bool>(&mut self, mut issue: F) {
-        let mut issued = 0;
-        let mut earlier_incomplete = false;
-        for entry in self.rob.iter_mut() {
-            if issued >= self.cfg.mem_issue_width {
+        if self.waiting_ops == 0 {
+            return;
+        }
+        // Every op older than the oldest Waiting one is Issued or Done.
+        let mut earlier_incomplete = self.first_open < self.first_waiting;
+        // Independent Waiting ops not yet passed: once an earlier op is
+        // incomplete, no other op can issue.
+        let mut free_left = self.waiting_free;
+        let (mut issued, mut issued_free) = (0, 0);
+        let start = (self.first_waiting - self.head_id) as usize;
+        for (id, entry) in (self.first_waiting..).zip(self.rob.range_mut(start..)) {
+            if issued >= self.cfg.mem_issue_width || (earlier_incomplete && free_left == 0) {
                 break;
             }
-            if let Entry::Mem {
-                id,
-                addr,
-                is_store,
-                depends,
-                state,
-            } = entry
-            {
-                if *state == MemState::Waiting && !(*depends && earlier_incomplete) {
-                    let accepted = issue(MemAccess {
-                        id: *id,
-                        addr: *addr,
-                        is_store: *is_store,
-                    });
-                    if accepted {
-                        *state = MemState::Issued;
-                        self.waiting_ops -= 1;
-                        issued += 1;
-                    } else {
+            if entry.state == MemState::Waiting {
+                free_left -= u32::from(!entry.depends);
+                if !(entry.depends && earlier_incomplete) {
+                    let access = MemAccess {
+                        id: ReqId(id),
+                        addr: entry.addr,
+                        is_store: entry.is_store,
+                    };
+                    if !issue(access) {
                         // The hierarchy is full; no point trying younger ops.
                         break;
                     }
+                    entry.state = MemState::Issued;
+                    issued += 1;
+                    issued_free += u32::from(!entry.depends);
                 }
-                earlier_incomplete |= *state != MemState::Done;
             }
+            earlier_incomplete |= entry.state != MemState::Done;
         }
+        self.waiting_ops -= issued;
+        self.waiting_free -= issued_free;
+        advance(&self.rob, self.head_id, &mut self.first_waiting, |e| {
+            e.state != MemState::Waiting
+        });
     }
 
     /// Classifies the core's current state for the fast-forward loop
-    /// (see [`CoreStall`]).
+    /// (see [`CoreStall`]) in O(1), from the same cursors
+    /// [`tick`](Self::tick) issues from.
     ///
     /// The classification is conservative: anything not provably a
     /// stable no-op reports `Active`.
@@ -323,30 +366,21 @@ impl Core {
             // Retirement is blocked on an outstanding load (the only
             // head state `retire` counts as blocked and that only an
             // external `complete` can clear).
-            Some(Entry::Mem {
-                is_store: false,
-                state,
-                ..
-            }) if *state != MemState::Done => {}
+            Some(head) if head.before == 0 && !head.is_store && head.state != MemState::Done => {}
             _ => return CoreStall::Active,
         }
-        // A ROB with no Waiting op cannot want issue — the common fully
-        // issued case resolves in O(1), no scan.
         if self.waiting_ops == 0 {
             return CoreStall::Blocked;
         }
-        // Mirror `issue_ready`: find the first Waiting op that would
-        // attempt issue this cycle.
-        let mut earlier_incomplete = false;
-        for entry in &self.rob {
-            if let Entry::Mem { depends, state, .. } = entry {
-                if *state == MemState::Waiting && !(*depends && earlier_incomplete) {
-                    return CoreStall::BlockedWantsIssue;
-                }
-                earlier_incomplete |= *state != MemState::Done;
-            }
+        // Mirror `issue_ready`: the oldest Waiting op attempts issue
+        // unless it depends on an incomplete older op; past it, only an
+        // independent Waiting op can.
+        let oldest = &self.rob[(self.first_waiting - self.head_id) as usize];
+        if !oldest.depends || self.first_open == self.first_waiting || self.waiting_free > 0 {
+            CoreStall::BlockedWantsIssue
+        } else {
+            CoreStall::Blocked
         }
-        CoreStall::Blocked
     }
 
     /// Batch-applies `cycles` ticks spent in a [`CoreStall::Blocked`]
@@ -363,20 +397,25 @@ impl Core {
         self.stats.head_blocked_cycles += cycles;
     }
 
-    /// Marks the access `id` complete (a load's data arrived, or a
-    /// store's line was filled). Unknown identifiers — e.g. stores
-    /// already retired — are ignored.
+    /// Marks the issued access `id` complete (a load's data arrived, or
+    /// a store's line was filled) in O(1). Identifiers outside the ROB
+    /// — e.g. stores already retired — and accesses not issued yet are
+    /// ignored, as is a repeated completion.
     pub fn complete(&mut self, id: ReqId) {
-        for entry in self.rob.iter_mut() {
-            if let Entry::Mem { id: eid, state, .. } = entry {
-                if *eid == id {
-                    if *state == MemState::Waiting {
-                        self.waiting_ops -= 1;
-                    }
-                    *state = MemState::Done;
-                    return;
-                }
-            }
+        let Some(entry) =
+            id.0.checked_sub(self.head_id)
+                .and_then(|i| self.rob.get_mut(usize::try_from(i).ok()?))
+        else {
+            return;
+        };
+        if entry.state != MemState::Issued {
+            return;
+        }
+        entry.state = MemState::Done;
+        if id.0 == self.first_open {
+            advance(&self.rob, self.head_id, &mut self.first_open, |e| {
+                e.state == MemState::Done
+            });
         }
     }
 
@@ -440,6 +479,50 @@ mod tests {
             let r = self.records[self.idx % self.records.len()];
             self.idx += 1;
             r
+        }
+    }
+
+    impl Core {
+        /// Recomputes every derived field of the ROB by a scan from the
+        /// head and reports the first one that disagrees.
+        fn check_against_scan(&self) -> Result<(), String> {
+            let count = |f: fn(&MemEntry) -> bool| self.rob.iter().filter(|e| f(e)).count() as u32;
+            let first = |f: fn(&MemEntry) -> bool| {
+                self.head_id + self.rob.iter().position(f).unwrap_or(self.rob.len()) as u64
+            };
+            let insts = self.tail_nonmem + self.rob.iter().map(|e| e.before + 1).sum::<u32>();
+            let checks = [
+                ("rob_insts", u64::from(self.rob_insts), u64::from(insts)),
+                (
+                    "waiting_ops",
+                    u64::from(self.waiting_ops),
+                    u64::from(count(|e| e.state == MemState::Waiting)),
+                ),
+                (
+                    "waiting_free",
+                    u64::from(self.waiting_free),
+                    u64::from(count(|e| e.state == MemState::Waiting && !e.depends)),
+                ),
+                (
+                    "first_waiting",
+                    self.first_waiting,
+                    first(|e| e.state == MemState::Waiting),
+                ),
+                (
+                    "first_open",
+                    self.first_open,
+                    first(|e| e.state != MemState::Done),
+                ),
+            ];
+            for (name, kept, scanned) in checks {
+                if kept != scanned {
+                    return Err(format!("{name} is {kept}, a scan finds {scanned}"));
+                }
+            }
+            if self.rob_insts > self.cfg.rob_entries {
+                return Err(format!("ROB holds {} instructions", self.rob_insts));
+            }
+            Ok(())
         }
     }
 
@@ -702,9 +785,9 @@ mod tests {
         assert_eq!(ticked.stall(), jumped.stall());
     }
 
-    /// The waiting-op counter that short-circuits `stall()` must agree
-    /// with a direct ROB scan across dispatch, issue, completion, and
-    /// retirement.
+    /// The waiting-op counters and the issue cursors that short-circuit
+    /// `stall()` and `issue_ready` must agree with a direct ROB scan
+    /// across dispatch, issue, completion, and retirement.
     #[test]
     fn waiting_counter_matches_rob_scan() {
         let trace = Cycle::new(vec![
@@ -739,12 +822,185 @@ mod tests {
                     core.complete(id);
                 }
             }
-            let scanned = core
-                .rob
-                .iter()
-                .filter(|e| matches!(e, Entry::Mem { state, .. } if *state == MemState::Waiting))
-                .count() as u32;
-            assert_eq!(core.waiting_ops, scanned, "cycle {cycle}");
+            if let Err(e) = core.check_against_scan() {
+                panic!("cycle {cycle}: {e}");
+            }
+        }
+    }
+
+    /// Everything a tick may change apart from the `cycles` and
+    /// `head_blocked_cycles` counters.
+    #[allow(clippy::type_complexity)]
+    fn frozen_state(core: &Core) -> (Vec<MemEntry>, [u64; 3], [u32; 5], Option<MemOp>, CoreStats) {
+        let stats = CoreStats {
+            cycles: CoreCycles::ZERO,
+            head_blocked_cycles: CoreCycles::ZERO,
+            ..core.stats
+        };
+        (
+            core.rob.iter().copied().collect(),
+            [core.head_id, core.first_waiting, core.first_open],
+            [
+                core.tail_nonmem,
+                core.rob_insts,
+                core.pending_nonmem,
+                core.waiting_ops,
+                core.waiting_free,
+            ],
+            core.pending_op,
+            stats,
+        )
+    }
+
+    /// A record with a non-memory run (0 half the time) and no op, a
+    /// load, a store, or a dependent load or store.
+    fn arb_record() -> impl proptest::Strategy<Value = TraceRecord> {
+        use proptest::Strategy;
+        (0u32..8, 0u8..8, 0u64..32).prop_map(|(nonmem, kind, line)| {
+            let addr = line * 64;
+            let op = match kind {
+                0 | 1 => None,
+                2 | 3 => Some(MemOp::load(addr)),
+                4 | 5 => Some(MemOp::store(addr)),
+                6 => Some(MemOp::load(addr).dependent()),
+                _ => Some(MemOp::store(addr).dependent()),
+            };
+            TraceRecord {
+                nonmem: nonmem.saturating_sub(3),
+                op,
+            }
+        })
+    }
+
+    /// Ticks a core through `recs` (cycled; one non-empty record is
+    /// appended so dispatch cannot spin) under an issue closure that
+    /// accepts by the cycled `accept` pattern, completes each accepted
+    /// access after a cycled delay, and mixes in one bogus completion
+    /// per tick: a duplicate, an already retired id, or an id never
+    /// accepted. Checks the ROB against a scan after every tick, and
+    /// the `stall()` classification with an extra probing tick
+    /// whenever it reports a blocked core.
+    fn run_schedule(
+        mut recs: Vec<TraceRecord>,
+        (issue_width, rob_entries, mem_issue_width): (u32, u32, u32),
+        accept: &[bool],
+        delays: &[u64],
+        bogus: &[(u8, u64)],
+    ) -> Result<(), String> {
+        use proptest::{prop_assert, prop_assert_eq};
+        recs.push(TraceRecord {
+            nonmem: 1,
+            op: Some(MemOp::load(0)),
+        });
+        let cfg = CoreConfig {
+            issue_width,
+            rob_entries,
+            mem_issue_width,
+        };
+        let mut core = Core::new(cfg, Box::new(Cycle::new(recs)));
+        let mut offers = 0usize;
+        let mut accepted: Vec<u64> = Vec::new();
+        let mut seen = std::collections::BTreeSet::new();
+        let mut rejected: Vec<u64> = Vec::new();
+        let mut completed: Vec<u64> = Vec::new();
+        let mut due: Vec<(u64, u64)> = Vec::new();
+        let mut max_offered: Option<u64> = None;
+        for t in 0..160u64 {
+            let stall = core.stall();
+            if stall != CoreStall::Active {
+                let before = frozen_state(&core);
+                let stats = core.stats;
+                let mut calls = 0;
+                if stall == CoreStall::Blocked {
+                    core.tick(|a| panic!("tick {t}: a Blocked core offered {a:?}"));
+                } else {
+                    core.tick(|_| {
+                        calls += 1;
+                        false
+                    });
+                }
+                let wants = u32::from(stall == CoreStall::BlockedWantsIssue);
+                prop_assert_eq!(calls, wants);
+                prop_assert_eq!(frozen_state(&core), before);
+                prop_assert_eq!(core.stats.cycles, stats.cycles + CoreCycles::ONE);
+                prop_assert_eq!(
+                    core.stats.head_blocked_cycles,
+                    stats.head_blocked_cycles + CoreCycles::ONE
+                );
+            }
+
+            let mut offered = Vec::new();
+            core.tick(|a| {
+                let ok = accept[offers % accept.len()];
+                offers += 1;
+                offered.push((a.id.0, ok));
+                ok
+            });
+            let mut last_this_tick = None;
+            for (id, ok) in offered {
+                max_offered = max_offered.max(Some(id));
+                if !ok {
+                    rejected.push(id);
+                    continue;
+                }
+                prop_assert!(seen.insert(id), "tick {t}: id {id} accepted twice");
+                prop_assert!(
+                    last_this_tick.is_none_or(|last| id > last),
+                    "tick {t}: id {id} accepted after a younger op"
+                );
+                last_this_tick = Some(id);
+                accepted.push(id);
+                due.push((t + delays[accepted.len() % delays.len()], id));
+            }
+            let mut now = Vec::new();
+            due.retain(|&(at, id)| {
+                let keep = at > t;
+                if !keep {
+                    now.push(id);
+                }
+                keep
+            });
+            for id in now {
+                core.complete(ReqId(id));
+                completed.push(id);
+            }
+
+            let (kind, pick) = bogus[t as usize % bogus.len()];
+            let head_id = core.head_id;
+            let id = match kind {
+                0 => completed.last().copied(),
+                1 => accepted
+                    .iter()
+                    .copied()
+                    .filter(|&i| i < head_id)
+                    .nth(pick as usize),
+                2 => Some(max_offered.map_or(0, |m| m + 1 + pick)),
+                _ => rejected.iter().rev().copied().find(|i| !seen.contains(i)),
+            };
+            if let Some(id) = id {
+                let before = frozen_state(&core);
+                core.complete(ReqId(id));
+                prop_assert_eq!(frozen_state(&core), before);
+            }
+            core.check_against_scan()
+                .map_err(|e| format!("tick {t}: {e}"))?;
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Random traces, issue acceptance and completion schedules
+        /// keep the ROB consistent with a scan, accept each id once,
+        /// ignore bogus completions, and never make `stall()` lie.
+        #[test]
+        fn rob_stays_consistent_under_random_schedules(
+            recs in proptest::collection::vec(arb_record(), 1..12),
+            widths in (1u32..9, 1u32..33, 1u32..4),
+            accept in proptest::collection::vec(proptest::any::<bool>(), 1..16),
+            delays in proptest::collection::vec(0u64..10, 1..16),
+            bogus in proptest::collection::vec((0u8..4, 0u64..8), 1..16),
+        ) {
+            run_schedule(recs, widths, &accept, &delays, &bogus)?;
         }
     }
 

@@ -31,4 +31,4 @@ pub use config::SystemConfig;
 pub use experiment::Experiment;
 pub use mellow_workloads::UnknownWorkload;
 pub use metrics::Metrics;
-pub use system::System;
+pub use system::{SimStats, System};

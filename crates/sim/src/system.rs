@@ -28,6 +28,23 @@ fn drain<S, T>(
     }
 }
 
+/// Deterministic work counters of the tick loops, from construction or
+/// the last [`System::begin_measurement`]: what the simulator did, not
+/// what the simulated hardware did. They sit outside [`Metrics`]
+/// because the two loops do different work for bit-identical results.
+///
+/// [`Metrics`]: crate::Metrics
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SimStats {
+    /// [`System::tick`] calls: core cycles simulated one at a time.
+    pub executed_ticks: u64,
+    /// Jumps over provably idle spans.
+    pub jumps: u64,
+    /// Core cycles those jumps covered without a tick. With
+    /// `executed_ticks` they add up to the core's cycle count.
+    pub skipped_cycles: CoreCycles,
+}
+
 /// The complete simulated system: core → L1 → L2 → LLC → memory
 /// controller → ReRAM banks.
 ///
@@ -57,6 +74,7 @@ pub struct System {
     next_sample_at: SimTime,
     /// Core cycles per memory cycle (5 for 2 GHz / 400 MHz).
     mem_divisor: u64,
+    sim_stats: SimStats,
 }
 
 impl std::fmt::Debug for System {
@@ -111,6 +129,7 @@ impl System {
             measure_start: SimTime::ZERO,
             next_sample_at,
             mem_divisor: mem_ps / core_ps,
+            sim_stats: SimStats::default(),
             cfg,
         }
     }
@@ -150,8 +169,14 @@ impl System {
         &self.ctrl
     }
 
+    /// Returns the tick loops' work counters (see [`SimStats`]).
+    pub fn sim_stats(&self) -> SimStats {
+        self.sim_stats
+    }
+
     /// Advances the system by one core cycle.
     pub fn tick(&mut self) {
+        self.sim_stats.executed_ticks += 1;
         self.cycle += CoreCycles::ONE;
         self.now = self.cycle.edge(&self.cfg.core_clock);
         let now = self.now;
@@ -319,6 +344,8 @@ impl System {
             .fast_forward_idle(c.to_mem(self.mem_divisor) - start.to_mem(self.mem_divisor));
         self.cycle = c;
         self.now = c.edge(&clock);
+        self.sim_stats.jumps += 1;
+        self.sim_stats.skipped_cycles += skipped;
     }
 
     /// Runs until `n` more instructions retire.
@@ -367,6 +394,7 @@ impl System {
         self.l2.reset_stats();
         self.llc.reset_stats();
         self.ctrl.reset_stats(self.now);
+        self.sim_stats = SimStats::default();
         self.measure_start = self.now;
     }
 
@@ -513,20 +541,42 @@ mod tests {
 
     #[test]
     fn fast_forward_skips_cycles_on_a_stall_heavy_trace() {
-        // Sanity that the fast path actually engages: on independent
-        // random loads the system spends most cycles fully stalled, so
-        // the fast loop must complete with far fewer tick() calls —
-        // observable as wall-clock, but countable via core cycles vs
-        // loop iterations only internally; instead check the stats it
-        // batches (head-blocked cycles dominate).
+        // On independent random loads the core is head-blocked most
+        // cycles, so the jump loop must cover more cycles by jumping
+        // than by ticking.
         let mut cfg = scaled_config(WritePolicy::norm());
         cfg.use_cycle_loop = false;
         let mut sys = System::new(cfg, Synth::new(0xDECAF, 0));
         sys.run_instructions(20_000);
-        let stats = sys.core().stats();
+        let work = sys.sim_stats();
         assert!(
-            stats.head_blocked_cycles * 2 > stats.cycles,
-            "random loads should stall the core most cycles: {stats:?}"
+            work.skipped_cycles > CoreCycles::new(work.executed_ticks),
+            "random loads should be mostly jumped: {work:?}"
         );
+    }
+
+    #[test]
+    fn executed_and_skipped_cycles_add_up_to_core_cycles() {
+        for cycle_loop in [true, false] {
+            let mut cfg = scaled_config(WritePolicy::be_mellow_sc());
+            cfg.use_cycle_loop = cycle_loop;
+            let mut sys = System::new(cfg, Synth::new(0xBEEF, 5));
+            sys.run_instructions(5_000);
+            sys.begin_measurement();
+            assert_eq!(sys.sim_stats(), SimStats::default());
+            sys.run_instructions(10_000);
+            let work = sys.sim_stats();
+            assert_eq!(
+                CoreCycles::new(work.executed_ticks) + work.skipped_cycles,
+                sys.core().stats().cycles,
+                "cycle loop: {cycle_loop}, {work:?}"
+            );
+            if cycle_loop {
+                assert_eq!(work.jumps, 0);
+                assert_eq!(work.skipped_cycles, CoreCycles::ZERO);
+            } else {
+                assert!(work.jumps > 0, "{work:?}");
+            }
+        }
     }
 }
