@@ -5,22 +5,14 @@
 //!
 //! targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
 //!          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
-//!          faults leveling retention perf main all
+//!          faults leveling retention main all
 //! ```
 //!
 //! `main` runs the shared Figs. 10–17 matrix once and prints all of
 //! them; `all` additionally runs Figs. 1–3, 18, 19 and the tables.
 //! `--full` uses the publication scale (slower); `--tiny` a CI smoke
-//! scale. `perf` is not a paper artifact: it times the controller's
-//! indexed issue path against the legacy scan layout and the system's
-//! jump loop against its one-cycle-at-a-time oracle on full-system
-//! runs (always uncached, since it measures wall clock rather than
-//! simulated results), then appends the measurements to
-//! `BENCH_controller.json` / `BENCH_system.json` at the repo root.
-//! With `--guard` it additionally exits nonzero when any row's two
-//! paths computed different metrics, or when the geomean speedup
-//! regresses below 0.8x the last committed same-scale entry (the CI
-//! perf-smoke check).
+//! scale. Timing the simulator itself is `perfbench`'s job, not this
+//! binary's.
 //!
 //! Simulations run on all available cores (`--threads N` overrides) and
 //! land in a JSON-lines result cache (`target/sweep-cache.jsonl` by
@@ -36,21 +28,17 @@ use std::process::exit;
 const DEFAULT_STORE: &str = "target/sweep-cache.jsonl";
 
 const USAGE: &str = "\
-usage: figures <target> [--full|--tiny] [--threads N] [--store PATH] [--no-cache] [--guard]
+usage: figures <target> [--full|--tiny] [--threads N] [--store PATH] [--no-cache]
 
 targets: fig1 fig2 fig3 tab5 tab6 fig10 fig11 fig12 fig13 fig14
          fig15 fig16 fig17 fig18 fig19 calibrate ablate graded
-         faults leveling retention perf main all (default)
+         faults leveling retention main all (default)
 
   --full        publication scale (slower)
   --tiny        CI smoke scale (fast, not meaningful for artifacts)
   --threads N   worker threads (default: all cores)
   --store PATH  result cache file (default: target/sweep-cache.jsonl)
-  --no-cache    run every cell, ignore and don't write the cache
-  --guard       (perf only) exit nonzero if any row reads MISMATCH, or
-                if the run_instructions geomean speedup regresses below
-                0.8x the last committed same-scale BENCH_system.json
-                entry";
+  --no-cache    run every cell, ignore and don't write the cache";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -62,7 +50,7 @@ fn main() {
         a.starts_with('-')
             && !matches!(
                 a.as_str(),
-                "--full" | "--tiny" | "--threads" | "--store" | "--no-cache" | "--guard"
+                "--full" | "--tiny" | "--threads" | "--store" | "--no-cache"
             )
     }) {
         eprintln!("unknown option {bad:?}\n{USAGE}");
@@ -74,14 +62,13 @@ fn main() {
         eprintln!("--full and --tiny are mutually exclusive\n{USAGE}");
         exit(2);
     }
-    let (scale, scale_label) = if full {
-        (Scale::full(), "full")
+    let scale = if full {
+        Scale::full()
     } else if tiny {
-        (Scale::tiny(), "tiny")
+        Scale::tiny()
     } else {
-        (Scale::quick(), "quick")
+        Scale::quick()
     };
-    let guard = args.iter().any(|a| a == "--guard");
     let flag_value = |flag: &str| {
         args.iter().position(|a| a == flag).map(|i| {
             args.get(i + 1).cloned().unwrap_or_else(|| {
@@ -174,15 +161,6 @@ fn main() {
         "faults" => out.push_str(&figures::faults(scale, &settings)),
         "leveling" => out.push_str(&figures::leveling(scale, &settings)),
         "retention" => out.push_str(&figures::retention(scale, &settings)),
-        "perf" => {
-            let (report, guard_ok) = perf_report(scale, scale_label, guard);
-            out.push_str(&report);
-            if !guard_ok {
-                println!("{out}");
-                eprintln!("perf guard FAILED: see report above");
-                exit(1);
-            }
-        }
         "main" => print_main(&mut out),
         "all" => {
             out.push_str(&figures::fig1());
@@ -198,279 +176,4 @@ fn main() {
         }
     }
     println!("{out}");
-}
-
-/// Times the indexed issue path against the legacy scan layout and the
-/// jump loop against the one-cycle-at-a-time oracle on a
-/// representative workload spread (streaming, random, write-heavy,
-/// multi-stream), reporting per-workload wall clock plus geomean
-/// speedups. Every row must read `identical` — the paths differ only
-/// in wall clock, never in simulated results. Measurements are
-/// appended to `BENCH_controller.json` / `BENCH_system.json` at the
-/// repository root.
-///
-/// Returns the report and whether the `--guard` check passed (always
-/// true when `guard` is off; see [`guard_verdict`]).
-fn perf_report(scale: Scale, scale_label: &str, guard: bool) -> (String, bool) {
-    use mellow_bench::trajectory::{
-        append_records, git_state, last_record, machine_threads, repo_root, BenchRecord,
-    };
-    use mellow_bench::{compare_issue_paths, compare_system_loops, microbench_system_loops};
-    use mellow_core::WritePolicy;
-
-    let workloads = ["stream", "gups", "lbm", "GemsFDTD"];
-    let (git, dirty) = git_state();
-    let threads = machine_threads();
-    let record = |bench: String, ns_per_op, ips, speedup, scale: &str| BenchRecord {
-        bench,
-        ns_per_op,
-        ips,
-        speedup,
-        scale: scale.to_owned(),
-        threads,
-        git: git.clone(),
-        dirty,
-    };
-    let mut out = String::new();
-    // (table, workload) of every row whose two paths disagree.
-    let mut mismatches: Vec<(&str, String)> = Vec::new();
-
-    eprintln!("timing scan vs indexed issue paths on {workloads:?} (uncached)...");
-    let rows = compare_issue_paths(&workloads, WritePolicy::be_mellow_sc(), scale)
-        .expect("perf workloads are Table IV presets");
-    out.push_str("== controller issue-path wall clock (scan vs indexed, be_mellow_sc) ==\n");
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>8}  {}\n",
-        "workload", "instr", "scan s", "index s", "speedup", "metrics"
-    ));
-    let mut log_sum = 0.0;
-    let mut ctrl_records = Vec::new();
-    for r in &rows {
-        log_sum += r.speedup().ln();
-        if !r.metrics_match {
-            mismatches.push(("controller issue-path", r.workload.clone()));
-        }
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>9.3} {:>9.3} {:>7.2}x  {}\n",
-            r.workload,
-            r.instructions,
-            r.scan_secs,
-            r.indexed_secs,
-            r.speedup(),
-            metrics_cell(r.metrics_match)
-        ));
-        ctrl_records.push(record(
-            format!("issue_path/{}", r.workload),
-            Some(r.indexed_secs * 1e9 / r.instructions as f64),
-            None,
-            r.speedup(),
-            scale_label,
-        ));
-    }
-    let ctrl_geomean = (log_sum / rows.len() as f64).exp();
-    out.push_str(&format!("geomean speedup: {ctrl_geomean:.2}x\n"));
-    ctrl_records.push(record(
-        "issue_path/geomean".to_owned(),
-        None,
-        None,
-        ctrl_geomean,
-        scale_label,
-    ));
-
-    eprintln!("timing cycle vs jump system loops on {workloads:?} (uncached)...");
-    let rows = compare_system_loops(&workloads, WritePolicy::be_mellow_sc(), scale)
-        .expect("perf workloads are Table IV presets");
-    out.push_str("\n== system tick-loop wall clock (cycle vs jump loop, be_mellow_sc) ==\n");
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>11} {:>8}  {}\n",
-        "workload", "instr", "cycle s", "jump s", "jump ips", "speedup", "metrics"
-    ));
-    let mut log_sum = 0.0;
-    let mut sys_records = Vec::new();
-    for r in &rows {
-        log_sum += r.speedup().ln();
-        if !r.metrics_match {
-            mismatches.push(("system tick-loop", r.workload.clone()));
-        }
-        out.push_str(&format!(
-            "{:<12} {:>10} {:>9.3} {:>9.3} {:>11.0} {:>7.2}x  {}\n",
-            r.workload,
-            r.instructions,
-            r.cycle_secs,
-            r.jump_secs,
-            r.jump_ips(),
-            r.speedup(),
-            metrics_cell(r.metrics_match)
-        ));
-        sys_records.push(record(
-            format!("run_instructions/{}", r.workload),
-            None,
-            Some(r.jump_ips()),
-            r.speedup(),
-            scale_label,
-        ));
-    }
-    let sys_geomean = (log_sum / rows.len() as f64).exp();
-    out.push_str(&format!("geomean speedup: {sys_geomean:.2}x\n"));
-
-    // The guard compares the geomean speedup (jump loop over the
-    // cycle oracle, machine-independent by construction) against the
-    // last committed same-scale entry, read before this run is appended.
-    let previous = last_record(
-        &repo_root().join("BENCH_system.json"),
-        "run_instructions/geomean",
-        scale_label,
-    )
-    .and_then(|r| r.get("speedup").and_then(mellow_engine::json::Json::as_f64));
-    sys_records.push(record(
-        "run_instructions/geomean".to_owned(),
-        None,
-        None,
-        sys_geomean,
-        scale_label,
-    ));
-
-    eprintln!("timing run_instructions microbench (20k instructions, scaled caches)...");
-    // Not part of the geomean: hmmer is core-bound, and adding it would
-    // break comparability with the committed tick-loop baselines.
-    let rows = microbench_system_loops(&["gups", "stream", "hmmer"], 10)
-        .expect("microbench workloads are Table IV presets");
-    out.push_str("\n== run_instructions microbench (20k instructions, 64 KiB LLC) ==\n");
-    out.push_str(&format!(
-        "{:<12} {:>12} {:>12} {:>11} {:>8} {:>8} {:>9} {:>8}  {}\n",
-        "workload",
-        "cycle ns",
-        "jump ns",
-        "jump ips",
-        "ticks",
-        "jumps",
-        "skipped",
-        "speedup",
-        "metrics"
-    ));
-    for r in &rows {
-        if !r.metrics_match {
-            mismatches.push(("run_instructions microbench", r.workload.clone()));
-        }
-        let work = r.jump_work.unwrap_or_default();
-        out.push_str(&format!(
-            "{:<12} {:>12.0} {:>12.0} {:>11.0} {:>8} {:>8} {:>9} {:>7.2}x  {}\n",
-            r.workload,
-            r.cycle_secs * 1e9,
-            r.jump_secs * 1e9,
-            r.jump_ips(),
-            work.executed_ticks,
-            work.jumps,
-            work.skipped_cycles.count(),
-            r.speedup(),
-            metrics_cell(r.metrics_match)
-        ));
-        sys_records.push(record(
-            format!("run_instructions_20k/{}", r.workload),
-            Some(r.jump_secs * 1e9 / r.instructions as f64),
-            Some(r.jump_ips()),
-            r.speedup(),
-            "micro",
-        ));
-    }
-
-    for (file, records) in [
-        ("BENCH_controller.json", &ctrl_records),
-        ("BENCH_system.json", &sys_records),
-    ] {
-        let path = repo_root().join(file);
-        match append_records(&path, records) {
-            Ok(total) => out.push_str(&format!(
-                "recorded {} measurements in {file} ({total} total)\n",
-                records.len()
-            )),
-            Err(e) => eprintln!("could not write {}: {e}", path.display()),
-        }
-    }
-    let mut guard_ok = true;
-    if guard {
-        let (ok, lines) = guard_verdict(&mismatches, sys_geomean, previous, scale_label);
-        guard_ok = ok;
-        out.push_str(&lines);
-    }
-    (out, guard_ok)
-}
-
-/// The `metrics` column of a perf row.
-fn metrics_cell(matched: bool) -> &'static str {
-    if matched {
-        "identical"
-    } else {
-        "MISMATCH"
-    }
-}
-
-/// The `--guard` verdict on a perf run: it fails on every
-/// `(table, workload)` row in `mismatches`, whose two paths computed
-/// different metrics, and when the tick-loop `geomean` speedup is below
-/// 0.8x `previous`, the last committed same-scale entry. Returns
-/// whether the run passed and one report line per finding.
-fn guard_verdict(
-    mismatches: &[(&str, String)],
-    geomean: f64,
-    previous: Option<f64>,
-    scale_label: &str,
-) -> (bool, String) {
-    let mut lines = String::new();
-    for (table, workload) in mismatches {
-        lines.push_str(&format!(
-            "perf guard: FAIL — {table} table, {workload}: the two paths' metrics MISMATCH\n"
-        ));
-    }
-    let mut ok = mismatches.is_empty();
-    match previous {
-        Some(prev) if geomean < 0.8 * prev => {
-            ok = false;
-            lines.push_str(&format!(
-                "perf guard: FAIL — geomean {geomean:.2}x is below 0.8x the last \
-                 committed {scale_label}-scale entry ({prev:.2}x)\n"
-            ));
-        }
-        Some(prev) => lines.push_str(&format!(
-            "perf guard: geomean ok — {geomean:.2}x vs last committed \
-             {scale_label}-scale entry {prev:.2}x\n"
-        )),
-        None => lines.push_str(&format!(
-            "perf guard: no previous {scale_label}-scale entry, nothing to compare\n"
-        )),
-    }
-    (ok, lines)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::guard_verdict;
-
-    #[test]
-    fn guard_passes_a_clean_run_at_speed() {
-        let (ok, lines) = guard_verdict(&[], 2.3, Some(2.16), "tiny");
-        assert!(ok, "{lines}");
-        let (ok, lines) = guard_verdict(&[], 2.3, None, "tiny");
-        assert!(ok, "{lines}");
-    }
-
-    #[test]
-    fn guard_fails_on_a_metrics_mismatch() {
-        let mismatches = [("system tick-loop", "gups".to_owned())];
-        let (ok, lines) = guard_verdict(&mismatches, 2.3, Some(2.16), "tiny");
-        assert!(!ok);
-        assert!(
-            lines.contains("system tick-loop table, gups"),
-            "the failure names table and workload: {lines}"
-        );
-        // Even with no baseline to compare the speedup against.
-        assert!(!guard_verdict(&mismatches, 2.3, None, "tiny").0);
-    }
-
-    #[test]
-    fn guard_fails_on_a_low_speedup_ratio() {
-        let (ok, lines) = guard_verdict(&[], 1.5, Some(2.16), "tiny");
-        assert!(!ok);
-        assert!(lines.contains("below 0.8x"), "{lines}");
-    }
 }

@@ -26,9 +26,6 @@ mod store;
 mod sweep;
 pub mod trajectory;
 
-pub use runner::{
-    compare_issue_paths, compare_system_loops, microbench_system_loops, try_experiment_for,
-    LoopComparison, MatrixKey, PathComparison, Scale,
-};
+pub use runner::{try_experiment_for, MatrixKey, Scale};
 pub use store::{CellKey, ResultStore, StoreError};
 pub use sweep::{into_matrix, Cell, CellResult, ConfigEdit, Sweep, SweepError, SweepSettings};

@@ -1,7 +1,7 @@
 //! Scale-aware experiment construction.
 
 use mellow_core::WritePolicy;
-use mellow_sim::{Experiment, SimStats};
+use mellow_sim::Experiment;
 use mellow_workloads::{UnknownWorkload, WorkloadSpec};
 
 /// How much simulation to spend per `(workload, policy)` run.
@@ -43,8 +43,7 @@ impl Scale {
     }
 
     /// A smoke-test scale for CI: just enough simulation to exercise
-    /// every code path while keeping a full `figures perf --tiny` run
-    /// in seconds. Not meaningful for paper artifacts.
+    /// every code path in seconds. Not meaningful for paper artifacts.
     pub fn tiny() -> Self {
         Scale {
             measure: 60_000,
@@ -52,13 +51,6 @@ impl Scale {
             llc_fills: 0.05,
             sample_period: mellow_engine::Duration::from_us(10),
         }
-    }
-
-    /// Returns the warm-up instruction count for a workload with the
-    /// given expected MPKI.
-    pub fn warmup_for(&self, target_mpki: f64, llc_lines: u64) -> u64 {
-        let fills = (self.llc_fills * llc_lines as f64 * 1000.0 / target_mpki) as u64;
-        fills.max(self.min_warmup)
     }
 }
 
@@ -80,207 +72,6 @@ pub fn try_experiment_for(
         }))
 }
 
-/// Wall-clock comparison of the controller's two issue paths on one
-/// workload, produced by [`compare_issue_paths`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct PathComparison {
-    /// Workload name.
-    pub workload: String,
-    /// Wall-clock seconds for the legacy shared-FIFO scan layout.
-    pub scan_secs: f64,
-    /// Wall-clock seconds for the indexed per-bank layout.
-    pub indexed_secs: f64,
-    /// Simulated instructions per run (warm-up plus measured window).
-    pub instructions: u64,
-    /// Whether the two layouts produced bit-identical
-    /// [`Metrics`](mellow_sim::Metrics) rows.
-    pub metrics_match: bool,
-}
-
-impl PathComparison {
-    /// Indexed-layout speedup over the scan layout (> 1 means the
-    /// indexed path is faster).
-    pub fn speedup(&self) -> f64 {
-        self.scan_secs / self.indexed_secs
-    }
-}
-
-/// Times each `(workload, policy)` experiment end to end under both
-/// controller queue layouts and checks the
-/// [`Metrics`](mellow_sim::Metrics) rows agree bit for bit.
-///
-/// The layouts are behaviorally identical by construction (see the
-/// equivalence tests in `tests/end_to_end.rs`); this measures the
-/// wall-clock benefit of the indexed path on full-system runs, which
-/// the `figures perf` target reports.
-pub fn compare_issue_paths(
-    workloads: &[&str],
-    policy: WritePolicy,
-    scale: Scale,
-) -> Result<Vec<PathComparison>, UnknownWorkload> {
-    workloads
-        .iter()
-        .map(|&w| {
-            let timed = |scan: bool| {
-                let e = try_experiment_for(w, policy, scale)?
-                    .configure(|c| c.mem.use_scan_queues = scan);
-                let start = std::time::Instant::now();
-                let metrics = e.run();
-                Ok::<_, UnknownWorkload>((
-                    start.elapsed().as_secs_f64(),
-                    e.warmup_instructions() + scale.measure,
-                    metrics,
-                ))
-            };
-            let (scan_secs, instructions, scan_metrics) = timed(true)?;
-            let (indexed_secs, _, indexed_metrics) = timed(false)?;
-            Ok(PathComparison {
-                workload: w.to_owned(),
-                scan_secs,
-                indexed_secs,
-                instructions,
-                metrics_match: scan_metrics.to_json().to_string()
-                    == indexed_metrics.to_json().to_string(),
-            })
-        })
-        .collect()
-}
-
-/// Wall-clock comparison of the system's two tick loops on one
-/// workload, produced by [`compare_system_loops`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoopComparison {
-    /// Workload name.
-    pub workload: String,
-    /// Wall-clock seconds for the one-cycle-at-a-time oracle
-    /// (`SystemConfig::use_cycle_loop`).
-    pub cycle_secs: f64,
-    /// Wall-clock seconds for the jump loop (the default).
-    pub jump_secs: f64,
-    /// Simulated instructions per run (warm-up plus measured window).
-    pub instructions: u64,
-    /// Whether both loops produced bit-identical
-    /// [`Metrics`](mellow_sim::Metrics) rows.
-    pub metrics_match: bool,
-    /// The jump loop's work counters, where the run exposes them
-    /// ([`microbench_system_loops`] only).
-    pub jump_work: Option<SimStats>,
-}
-
-impl LoopComparison {
-    /// Jump-loop speedup over the cycle loop (> 1 means the jump loop
-    /// is faster).
-    pub fn speedup(&self) -> f64 {
-        self.cycle_secs / self.jump_secs
-    }
-
-    /// Simulated instructions per wall-clock second under the jump
-    /// loop.
-    pub fn jump_ips(&self) -> f64 {
-        self.instructions as f64 / self.jump_secs
-    }
-}
-
-/// Times each `(workload, policy)` experiment end to end under both
-/// system tick loops (the `SystemConfig::use_cycle_loop` oracle and the
-/// default jump loop) and checks the [`Metrics`](mellow_sim::Metrics)
-/// rows agree bit for bit.
-///
-/// The loops are behaviorally identical by construction (see the
-/// equivalence tests in `tests/end_to_end.rs` and the system unit
-/// tests); this measures the wall-clock benefit of skipping provably
-/// idle cycles, which the `figures perf` target reports and records in
-/// `BENCH_system.json`.
-pub fn compare_system_loops(
-    workloads: &[&str],
-    policy: WritePolicy,
-    scale: Scale,
-) -> Result<Vec<LoopComparison>, UnknownWorkload> {
-    workloads
-        .iter()
-        .map(|&w| {
-            let timed = |cycle_loop: bool| {
-                let e = try_experiment_for(w, policy, scale)?
-                    .configure(|c| c.use_cycle_loop = cycle_loop);
-                let start = std::time::Instant::now();
-                let metrics = e.run();
-                Ok::<_, UnknownWorkload>((
-                    start.elapsed().as_secs_f64(),
-                    e.warmup_instructions() + scale.measure,
-                    metrics,
-                ))
-            };
-            let (cycle_secs, instructions, cycle_metrics) = timed(true)?;
-            let (jump_secs, _, jump_metrics) = timed(false)?;
-            Ok(LoopComparison {
-                workload: w.to_owned(),
-                cycle_secs,
-                jump_secs,
-                instructions,
-                metrics_match: cycle_metrics.to_json().to_string()
-                    == jump_metrics.to_json().to_string(),
-                jump_work: None,
-            })
-        })
-        .collect()
-}
-
-/// Times the microbench configuration from `benches/microbench.rs`
-/// (scaled-down caches, 16 MiB working set, 20k instructions, no
-/// warm-up) under both tick loops, averaging `reps` runs per loop.
-///
-/// This isolates raw loop overhead from warm-up and large-cache
-/// effects: with a 64 KiB LLC a random-access workload head-blocks the
-/// core for most of its cycles, which is where the jump loop pays off
-/// most. The gups row is the speedup number the `BENCH_system.json`
-/// trajectory tracks; an hmmer row, whose 16 KiB hot set stays in the
-/// caches, tracks the per-tick cost of the core.
-pub fn microbench_system_loops(
-    workloads: &[&str],
-    reps: u32,
-) -> Result<Vec<LoopComparison>, UnknownWorkload> {
-    const INSTRUCTIONS: u64 = 20_000;
-    workloads
-        .iter()
-        .map(|&w| {
-            let mut spec = WorkloadSpec::try_by_name(w)?;
-            spec.working_set_bytes = 16 << 20;
-            let timed = |cycle_loop: bool| {
-                let mut secs = 0.0;
-                let mut metrics_json = String::new();
-                let mut work = SimStats::default();
-                for _ in 0..reps.max(1) {
-                    let mut system =
-                        Experiment::with_spec(spec.clone(), WritePolicy::be_mellow_sc())
-                            .configure(|c| {
-                                c.l1.size_bytes = 4 << 10;
-                                c.l2.size_bytes = 16 << 10;
-                                c.llc.size_bytes = 64 << 10;
-                                c.use_cycle_loop = cycle_loop;
-                            })
-                            .build();
-                    let start = std::time::Instant::now();
-                    system.run_instructions(INSTRUCTIONS);
-                    secs += start.elapsed().as_secs_f64();
-                    metrics_json = system.metrics(w).to_json().to_string();
-                    work = system.sim_stats();
-                }
-                (secs / reps.max(1) as f64, metrics_json, work)
-            };
-            let (cycle_secs, cycle_metrics, _) = timed(true);
-            let (jump_secs, jump_metrics, jump_work) = timed(false);
-            Ok(LoopComparison {
-                workload: w.to_owned(),
-                cycle_secs,
-                jump_secs,
-                instructions: INSTRUCTIONS,
-                metrics_match: cycle_metrics == jump_metrics,
-                jump_work: Some(jump_work),
-            })
-        })
-        .collect()
-}
-
 /// Identifies one cell of a run matrix.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MatrixKey {
@@ -293,17 +84,6 @@ pub struct MatrixKey {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn warmup_scales_inversely_with_mpki() {
-        let s = Scale::quick();
-        let llc_lines = 32_768;
-        let heavy = s.warmup_for(56.34, llc_lines);
-        let light = s.warmup_for(1.34, llc_lines);
-        assert!(light > heavy);
-        assert!(light > 20_000_000, "hmmer-class warm-up fills the LLC");
-        assert!(heavy >= s.min_warmup);
-    }
 
     #[test]
     fn experiment_builder_wires_policy() {

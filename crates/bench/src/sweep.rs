@@ -32,7 +32,7 @@
 
 use crate::{try_experiment_for, CellKey, MatrixKey, ResultStore, Scale, StoreError};
 use mellow_core::WritePolicy;
-use mellow_sim::{Experiment, Metrics, SystemConfig};
+use mellow_sim::{Experiment, Metrics, SimStats, SystemConfig};
 use mellow_workloads::UnknownWorkload;
 use std::fmt;
 use std::path::PathBuf;
@@ -286,7 +286,7 @@ impl Sweep {
         if total > 0 {
             let start = Instant::now();
             let next = AtomicUsize::new(0);
-            let (tx, rx) = mpsc::channel::<(usize, Metrics)>();
+            let (tx, rx) = mpsc::channel::<(usize, Metrics, SimStats)>();
             let store_result: Result<(), StoreError> = std::thread::scope(|scope| {
                 let jobs = &jobs;
                 let next = &next;
@@ -295,15 +295,15 @@ impl Sweep {
                     scope.spawn(move || loop {
                         let i = next.fetch_add(1, Ordering::Relaxed);
                         let Some(job) = jobs.get(i) else { break };
-                        let metrics = job.experiment.run();
-                        if tx.send((i, metrics)).is_err() {
+                        let (metrics, work) = job.experiment.run_with_work();
+                        if tx.send((i, metrics, work)).is_err() {
                             break;
                         }
                     });
                 }
                 drop(tx);
                 let mut done = 0usize;
-                for (i, metrics) in rx {
+                for (i, metrics, work) in rx {
                     done += 1;
                     if let Some(store) = store.as_mut() {
                         store.insert(&jobs[i].key, &metrics)?;
@@ -312,10 +312,13 @@ impl Sweep {
                         let elapsed = start.elapsed();
                         let eta = elapsed.mul_f64((total - done) as f64 / done as f64);
                         eprintln!(
-                            "[{done}/{total}] {} ({}, eta {})",
+                            "[{done}/{total}] {} ({}, eta {}) ticks {} / jumps {} / skipped {}",
                             metrics.summary(),
                             fmt_duration(elapsed),
                             fmt_duration(eta),
+                            work.executed_ticks,
+                            work.jumps,
+                            work.skipped_cycles.count(),
                         );
                     }
                     let job = &jobs[i];

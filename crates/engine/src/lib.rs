@@ -33,14 +33,12 @@
 
 mod clock;
 pub mod json;
-mod queue;
 mod rng;
 pub mod stats;
 mod time;
 mod timer;
 
 pub use clock::Clock;
-pub use queue::BoundedQueue;
 pub use rng::DetRng;
 pub use time::{CoreCycles, Duration, MemCycles, SimTime};
 pub use timer::TimerQueue;

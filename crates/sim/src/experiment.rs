@@ -1,6 +1,6 @@
 //! The warm-up/measure experiment runner.
 
-use crate::{Metrics, System, SystemConfig};
+use crate::{Metrics, SimStats, System, SystemConfig};
 use mellow_core::WritePolicy;
 use mellow_workloads::{SyntheticWorkload, UnknownWorkload, WorkloadSpec};
 
@@ -129,13 +129,19 @@ impl Experiment {
     /// Builds the system, runs warm-up then the measured window, and
     /// returns the metrics row.
     pub fn run(&self) -> Metrics {
+        self.run_with_work().0
+    }
+
+    /// Like [`run`](Self::run), and also returns the tick loops' work
+    /// counters over the measured window.
+    pub fn run_with_work(&self) -> (Metrics, SimStats) {
         let mut system = self.build();
         if self.warmup_instructions > 0 {
             system.run_instructions(self.warmup_instructions);
         }
         system.begin_measurement();
         system.run_instructions(self.measure_instructions);
-        system.metrics(&self.workload.name)
+        (system.metrics(&self.workload.name), system.sim_stats())
     }
 
     /// Builds the wired system without running it (for callers that
@@ -264,6 +270,24 @@ mod tests {
         // hmmer (MPKI 1.34) needs far longer than mcf (MPKI 56) to fill
         // the LLC.
         assert!(hmmer.warmup_instructions() > 10 * mcf.warmup_instructions());
+        // Never below the explicit warm-up.
+        let floor = 50_000_000;
+        let mcf = Experiment::try_new("mcf", WritePolicy::norm())
+            .unwrap()
+            .warmup(floor)
+            .warmup_llc_fills(1.2);
+        assert_eq!(mcf.warmup_instructions(), floor);
+    }
+
+    #[test]
+    fn run_with_work_returns_the_run_row() {
+        let e = Experiment::try_new("gups", WritePolicy::be_mellow_sc())
+            .unwrap()
+            .warmup(5_000)
+            .instructions(20_000);
+        let (metrics, work) = e.run_with_work();
+        assert_eq!(metrics.to_json().to_string(), e.run().to_json().to_string());
+        assert!(work.executed_ticks > 0);
     }
 
     #[test]

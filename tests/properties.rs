@@ -4,7 +4,7 @@ use mellow_writes::core::{
     decide_write, BankQueueView, UtilityMonitor, WearQuota, WearQuotaConfig, WriteDecision,
     WritePolicy,
 };
-use mellow_writes::engine::{BoundedQueue, Clock, Duration, SimTime, TimerQueue};
+use mellow_writes::engine::{Clock, Duration, SimTime, TimerQueue};
 use mellow_writes::nvm::{CancelWear, EnduranceModel, ExpoFactor, StartGap, WearLedger};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -256,36 +256,6 @@ proptest! {
             if q < assoc {
                 prop_assert!(tail(q) * 32 >= total);
             }
-        }
-    }
-
-    /// Bounded queue behaves exactly like a capacity-checked VecDeque.
-    #[test]
-    fn bounded_queue_matches_model(
-        ops in proptest::collection::vec((0u8..3, 0u32..100), 0..200),
-        cap in 1usize..16,
-    ) {
-        let mut q = BoundedQueue::new(cap);
-        let mut model = std::collections::VecDeque::new();
-        for (op, v) in ops {
-            match op {
-                0 => {
-                    let ok = q.try_push(v).is_ok();
-                    prop_assert_eq!(ok, model.len() < cap);
-                    if ok {
-                        model.push_back(v);
-                    }
-                }
-                1 => {
-                    prop_assert_eq!(q.pop_front(), model.pop_front());
-                }
-                _ => {
-                    let got = q.remove_first(|&x| x == v);
-                    let idx = model.iter().position(|&x| x == v);
-                    prop_assert_eq!(got, idx.map(|i| model.remove(i).unwrap()));
-                }
-            }
-            prop_assert_eq!(q.len(), model.len());
         }
     }
 
