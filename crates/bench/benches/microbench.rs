@@ -1,11 +1,11 @@
 //! Criterion micro-benchmarks for the simulator's hot paths.
 //!
 //! These measure the cost of the data structures the cycle loop leans
-//! on (LRU stacks, Start-Gap remapping, the utility monitor, timer
-//! queues, the controller tick, the core tick) plus end-to-end
-//! simulated-instruction throughput of the wired system. They guard the
-//! simulator's own performance, not the paper's results — those come
-//! from the `figures` binary.
+//! on (LRU stacks, the LLC's eager probe, Start-Gap remapping, the
+//! utility monitor, timer queues, the controller tick, the core tick)
+//! plus end-to-end simulated-instruction throughput of the wired
+//! system. They guard the simulator's own performance, not the paper's
+//! results — those come from the `figures` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mellow_core::{UtilityMonitor, WritePolicy};
@@ -32,6 +32,57 @@ fn bench_lru(c: &mut Criterion) {
             }
             black_box(set.len())
         });
+    });
+}
+
+/// Ticks `llc` until its input queue is empty, filling every miss at
+/// once and discarding what it sends up or down.
+fn settle(llc: &mut mellow_cache::Cache, now: &mut SimTime) {
+    while !llc.input_idle() {
+        *now += mellow_engine::Duration::from_ps(500);
+        llc.tick(*now);
+        while let Some(line) = llc.pop_miss_down() {
+            llc.deliver_fill(line, *now);
+        }
+        while llc.pop_fill_up().is_some() {}
+        while llc.pop_writeback_down().is_some() {}
+    }
+}
+
+fn bench_llc_eager_probe(c: &mut Criterion) {
+    use mellow_cache::{Cache, CacheConfig};
+    // The common idle-LLC probe: the drawn set holds dirty lines, but
+    // none at or below the monitor's useless-position cut, so the probe
+    // rejects. Every set of a Table I LLC holds 8 dirty lines at
+    // positions 0..8 over 8 clean ones, and the cut sits at 8.
+    c.bench_function("llc_eager_probe_reject", |b| {
+        let mut llc = Cache::new(CacheConfig::llc());
+        llc.enable_eager();
+        let sets = llc.config().num_sets();
+        let mut now = SimTime::ZERO;
+        for set in 0..sets {
+            for tag in 0..8 {
+                assert!(llc.try_fetch(tag * sets + set, now));
+            }
+            settle(&mut llc, &mut now);
+            for tag in 8..16 {
+                assert!(llc.try_writeback(tag * sets + set, now));
+            }
+            settle(&mut llc, &mut now);
+        }
+        llc.sample_utility();
+        // Rewriting the dirty lines oldest first hits each at position 7
+        // and restores the order: no hits past 7 puts the cut at 8.
+        for set in 0..sets {
+            for tag in 8..16 {
+                assert!(llc.try_writeback(tag * sets + set, now));
+            }
+            settle(&mut llc, &mut now);
+        }
+        assert_eq!(llc.sample_utility(), Some(8));
+        let mut rng = DetRng::seed_from(4);
+        b.iter(|| black_box(llc.eager_candidate(&mut rng)));
+        assert_eq!(llc.stats().eager_issued, 0, "every probe rejects");
     });
 }
 
@@ -242,6 +293,7 @@ fn bench_sweep_overhead(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_lru,
+    bench_llc_eager_probe,
     bench_startgap,
     bench_monitor,
     bench_timer_queue,

@@ -312,13 +312,17 @@ impl Sweep {
                         let elapsed = start.elapsed();
                         let eta = elapsed.mul_f64((total - done) as f64 / done as f64);
                         eprintln!(
-                            "[{done}/{total}] {} ({}, eta {}) ticks {} / jumps {} / skipped {}",
+                            "[{done}/{total}] {} ({}, eta {}) ticks {} / jumps {} / skipped {} \
+                             / probes {} / edges {} worked + {} fast",
                             metrics.summary(),
                             fmt_duration(elapsed),
                             fmt_duration(eta),
                             work.executed_ticks,
                             work.jumps,
                             work.skipped_cycles.count(),
+                            work.eager_probes,
+                            work.ctrl_worked_edges,
+                            work.ctrl_fast_path_edges,
                         );
                     }
                     let job = &jobs[i];

@@ -87,6 +87,12 @@ impl CacheConfig {
     fn validate(&self) {
         assert!(self.size_bytes > 0, "cache size must be non-zero");
         assert!(self.assoc > 0, "associativity must be non-zero");
+        // The LLC's per-set dirty depth is a `u8` holding 1 + a position.
+        assert!(
+            self.assoc <= usize::from(u8::MAX),
+            "assoc = {} exceeds the maximum associativity of 255",
+            self.assoc
+        );
         assert!(
             self.line_bytes.is_power_of_two(),
             "line size must be a power of two"
@@ -202,6 +208,22 @@ struct Timed {
 #[derive(Debug)]
 struct EagerState {
     monitor: UtilityMonitor,
+    /// Probes that drew a set, since enabling or the last `reset_stats`.
+    probes: u64,
+    /// Per-set dirty depth: 1 + the LRU position of the set's deepest
+    /// dirty line ([`LruSet::deepest_dirty`]), 0 when the set holds no
+    /// dirty line. A set has an eager candidate exactly when its depth
+    /// exceeds the monitor's eager position, so a probe rejects in O(1)
+    /// without walking the set. Recomputed after every change to a
+    /// set's order or dirty bits (`install`, the two `touch` sites,
+    /// `mark_dirty` of a clean line, `clean_candidate`).
+    set_depth: Vec<u8>,
+}
+
+/// The dirty depth of `set` (see [`EagerState::set_depth`]).
+fn dirty_depth(set: &LruSet) -> u8 {
+    // `CacheConfig::validate` bounds assoc by 255, so 1 + a position fits.
+    set.deepest_dirty().map_or(0, |(pos, _)| pos as u8 + 1)
 }
 
 /// A timed cache level.
@@ -249,11 +271,6 @@ pub struct Cache {
     wb_down: VecDeque<u64>,
     eager: Option<EagerState>,
     stats: CacheStats,
-    /// Resident dirty lines per set. Maintained at the three dirty-flip
-    /// sites (`mark_dirty`, eager clean, dirty eviction) so an eager
-    /// probe of a set with no dirty line rejects in O(1)
-    /// (`LruSet::eager_candidate` requires a dirty line).
-    set_dirty: Vec<u32>,
 }
 
 impl Cache {
@@ -278,17 +295,32 @@ impl Cache {
             wb_down: VecDeque::new(),
             eager: None,
             stats: CacheStats::default(),
-            set_dirty: vec![0; num_sets as usize],
             cfg,
         }
     }
 
     /// Attaches the Eager Mellow Writes utility monitor (normally only on
-    /// the LLC).
+    /// the LLC). Call it on a new cache, before any access: the per-set
+    /// dirty depths start at zero.
     pub fn enable_eager(&mut self) {
+        debug_assert!(
+            self.sets.iter().all(LruSet::is_empty),
+            "enable_eager on a cache that holds lines"
+        );
         self.eager = Some(EagerState {
             monitor: UtilityMonitor::new(self.cfg.assoc),
+            probes: 0,
+            set_depth: vec![0; self.sets.len()],
         });
+    }
+
+    /// Recomputes `set_idx`'s dirty depth after a change to the set
+    /// (a no-op unless [`enable_eager`](Self::enable_eager) has run).
+    #[inline]
+    fn refresh_depth(&mut self, set_idx: usize) {
+        if let Some(e) = &mut self.eager {
+            e.set_depth[set_idx] = dirty_depth(&self.sets[set_idx]);
+        }
     }
 
     /// Returns the configuration.
@@ -305,6 +337,18 @@ impl Cache {
     /// contents, MSHRs and in-flight requests are preserved.
     pub fn reset_stats(&mut self) {
         self.stats = CacheStats::default();
+        if let Some(e) = &mut self.eager {
+            e.probes = 0;
+        }
+    }
+
+    /// Eager probes that drew a set from the caller's generator (see
+    /// [`eager_candidate`](Self::eager_candidate)) since
+    /// [`enable_eager`](Self::enable_eager) or the last
+    /// [`reset_stats`](Self::reset_stats); 0 when eager is disabled.
+    /// Simulator work, kept out of [`CacheStats`].
+    pub fn eager_probes(&self) -> u64 {
+        self.eager.as_ref().map_or(0, |e| e.probes)
     }
 
     /// Returns `true` when the input queue is empty (the "LLC idle"
@@ -475,13 +519,13 @@ impl Cache {
         if let Some(victim) = self.sets[set_idx].insert(tag) {
             let victim_line = self.line_addr(set_idx, victim.tag);
             if victim.dirty {
-                self.set_dirty[set_idx] -= 1;
                 self.stats.writebacks_out += 1;
                 self.wb_down.push_back(victim_line);
             } else if victim.eager_cleaned {
                 self.stats.eager_saved_writebacks += 1;
             }
         }
+        self.refresh_depth(set_idx);
     }
 
     fn mark_dirty(&mut self, line: u64) {
@@ -495,7 +539,7 @@ impl Cache {
         }
         if !state.dirty {
             state.dirty = true;
-            self.set_dirty[set_idx] += 1;
+            self.refresh_depth(set_idx);
         }
     }
 
@@ -532,6 +576,7 @@ impl Cache {
                 e.monitor.record_hit(pos);
             }
             self.sets[set_idx].touch(tag);
+            self.refresh_depth(set_idx);
             if is_store {
                 self.mark_dirty(line);
             }
@@ -583,6 +628,7 @@ impl Cache {
                 e.monitor.record_hit(pos);
             }
             self.sets[set_idx].touch(tag);
+            self.refresh_depth(set_idx);
             self.mark_dirty(line);
         } else {
             if let Some(e) = &mut self.eager {
@@ -649,17 +695,23 @@ impl Cache {
     /// room; returns `None` when the monitor is disabled or the probed
     /// set has no candidate.
     pub fn eager_candidate(&mut self, rng: &mut DetRng) -> Option<u64> {
-        let floor = self.eager.as_ref()?.monitor.eager_position();
+        let eager = self.eager.as_mut()?;
+        let floor = eager.monitor.eager_position();
         if floor >= self.cfg.assoc {
             return None;
         }
+        eager.probes += 1;
         let set_idx = rng.below(self.num_sets) as usize;
-        if self.set_dirty[set_idx] == 0 {
-            // Nothing dirty in this set: the probe misses. (The draw is
-            // consumed either way, so the RNG stream is unchanged.)
+        // The draw is consumed either way, so the RNG stream does not
+        // depend on the set's contents. No dirty line at or below the
+        // floor: the probe misses without walking the set.
+        if usize::from(eager.set_depth[set_idx]) <= floor {
             return None;
         }
-        let (_pos, tag) = self.sets[set_idx].eager_candidate(floor)?;
+        let (pos, tag) = self.sets[set_idx]
+            .deepest_dirty()
+            .expect("a non-zero depth has a dirty line");
+        debug_assert_eq!(pos + 1, usize::from(eager.set_depth[set_idx]));
         Some(self.clean_candidate(set_idx, tag))
     }
 
@@ -670,7 +722,7 @@ impl Cache {
             .expect("candidate line present");
         state.dirty = false;
         state.eager_cleaned = true;
-        self.set_dirty[set_idx] -= 1;
+        self.refresh_depth(set_idx);
         self.stats.eager_issued += 1;
         self.line_addr(set_idx, tag)
     }
@@ -1046,6 +1098,7 @@ mod tests {
             assert!(c.eager_candidate(&mut rng).is_none());
         }
         assert_eq!(rng.next_u64(), untouched.next_u64());
+        assert_eq!(c.eager_probes(), 0);
 
         // Train an all-miss profile so everything becomes useless.
         for i in 0..100u64 {
@@ -1070,5 +1123,179 @@ mod tests {
             replay.below(num_sets);
         }
         assert_eq!(rng.next_u64(), replay.next_u64());
+        assert_eq!(c.eager_probes(), 64, "one counted probe per draw");
+        c.reset_stats();
+        assert_eq!(c.eager_probes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "assoc = 256")]
+    fn associativity_above_255_rejected() {
+        let _ = Cache::new(CacheConfig {
+            size_bytes: 256 * 64,
+            assoc: 256,
+            ..tiny_cfg()
+        });
+    }
+
+    /// One step of the random driver in
+    /// `dirty_depth_and_probes_match_a_full_scan`.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Demand {
+            line: u64,
+            store: bool,
+        },
+        Writeback {
+            line: u64,
+        },
+        /// Delivers the oldest outstanding fetch.
+        Fill,
+        /// Advances 1 ns, ticks, and drains the output ports.
+        Tick,
+        /// Ends a utility-monitor period (moves the eager cut).
+        Sample,
+        Probes(u8),
+    }
+
+    fn arb_op() -> impl proptest::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        // 32 lines over 4 sets: 8 tags contend for each 4-way set.
+        (0u8..20, 0u64..32, any::<bool>(), 1u8..8).prop_map(|(kind, line, store, n)| match kind {
+            0..=3 => Op::Demand { line, store },
+            4..=6 => Op::Writeback { line },
+            7..=9 => Op::Fill,
+            10..=15 => Op::Tick,
+            16 => Op::Sample,
+            _ => Op::Probes(n),
+        })
+    }
+
+    /// Checks every set's dirty depth against a recompute from the set.
+    fn check_depths(c: &Cache) -> Result<(), String> {
+        let depths = &c.eager.as_ref().expect("eager enabled").set_depth;
+        for (i, set) in c.sets.iter().enumerate() {
+            let scan = set
+                .iter()
+                .enumerate()
+                .filter(|(_, l)| l.dirty)
+                .map(|(pos, _)| pos + 1)
+                .max()
+                .unwrap_or(0);
+            if usize::from(depths[i]) != scan {
+                return Err(format!("set {i}: depth {} but scan {scan}", depths[i]));
+            }
+        }
+        Ok(())
+    }
+
+    /// The pre-summary probe: draw a set, then walk it from the LRU end
+    /// for a dirty line at or below the eager cut.
+    fn reference_probe(c: &Cache, rng: &mut DetRng) -> Option<u64> {
+        let floor = c.eager_position().expect("eager enabled");
+        if floor >= c.cfg.assoc {
+            return None;
+        }
+        let set_idx = rng.below(c.num_sets) as usize;
+        c.sets[set_idx]
+            .iter()
+            .enumerate()
+            .filter(|(pos, l)| *pos >= floor && l.dirty)
+            .last()
+            .map(|(_, l)| c.line_addr(set_idx, l.tag))
+    }
+
+    /// Runs `ops` against a 4-set, 4-way eager-enabled cache, checking
+    /// after every op; returns how many probes found a candidate.
+    fn drive(ops: &[Op], seed: u64) -> Result<u64, String> {
+        let mut c = Cache::new(CacheConfig {
+            size_bytes: 4 * 4 * 64, // 4 sets, 4-way
+            assoc: 4,
+            mshrs: 4,
+            ..tiny_cfg()
+        });
+        c.enable_eager();
+        let mut rng = DetRng::seed_from(seed);
+        let mut fetches = VecDeque::new();
+        let mut now = 0u64;
+        let mut found = 0;
+        for (step, op) in ops.iter().enumerate() {
+            let t = SimTime::from_ns(now);
+            match *op {
+                Op::Demand { line, store } => {
+                    let _ = c.try_demand(AccessId(step as u64), line, store, t);
+                }
+                Op::Writeback { line } => {
+                    let _ = c.try_writeback(line, t);
+                }
+                Op::Fill => {
+                    if let Some(line) = fetches.pop_front() {
+                        c.deliver_fill(line, t);
+                    }
+                }
+                Op::Tick => {
+                    now += 1;
+                    c.tick(SimTime::from_ns(now));
+                    while c.pop_completion().is_some() {}
+                    while c.pop_writeback_down().is_some() {}
+                    while let Some(line) = c.pop_miss_down() {
+                        fetches.push_back(line);
+                    }
+                }
+                Op::Sample => {
+                    c.sample_utility();
+                }
+                Op::Probes(n) => {
+                    for _ in 0..n {
+                        let mut reference = rng.clone();
+                        let expected = reference_probe(&c, &mut reference);
+                        let got = c.eager_candidate(&mut rng);
+                        if got != expected {
+                            return Err(format!("step {step}: probe {got:?}, scan {expected:?}"));
+                        }
+                        if rng.clone().next_u64() != reference.next_u64() {
+                            return Err(format!("step {step}: probe consumed other draws"));
+                        }
+                        if let Some(line) = got {
+                            if c.line_state(line) != Some((false, true)) {
+                                return Err(format!("step {step}: line {line} not eager-cleaned"));
+                            }
+                            found += 1;
+                        }
+                    }
+                }
+            }
+            check_depths(&c).map_err(|e| format!("step {step} ({op:?}): {e}"))?;
+        }
+        Ok(found)
+    }
+
+    proptest::proptest! {
+        /// Random loads, stores, writebacks, fills, monitor samples and
+        /// eager probes keep every set's dirty depth equal to a recompute,
+        /// and every probe returns what a full walk of the drawn set
+        /// returns while consuming the same draws.
+        #[test]
+        fn dirty_depth_and_probes_match_a_full_scan(
+            ops in proptest::collection::vec(arb_op(), 1..200),
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            drive(&ops, seed)?;
+        }
+    }
+
+    #[test]
+    fn probes_find_candidates_below_the_cut() {
+        // The driver must reach the interesting case: a cut below
+        // `assoc` with dirty lines at or past it.
+        let mut ops = Vec::new();
+        for line in 0..16 {
+            ops.push(Op::Writeback { line });
+            ops.push(Op::Tick);
+            ops.push(Op::Tick);
+        }
+        ops.push(Op::Sample);
+        ops.push(Op::Probes(32));
+        assert!(drive(&ops, 5).unwrap() > 0);
     }
 }

@@ -122,16 +122,15 @@ impl LruSet {
         Some(self.lines.remove(pos))
     }
 
-    /// Returns the dirty line at the highest (least-recently-used) stack
-    /// position `>= floor`, if any — the Eager Mellow Write candidate of
-    /// §IV-B1.
-    pub fn eager_candidate(&self, floor: usize) -> Option<(usize, u64)> {
+    /// Returns the position and tag of the dirty line nearest the LRU
+    /// end, if any. It is the set's Eager Mellow Write candidate
+    /// (§IV-B1) exactly when its position is at or past the utility
+    /// monitor's first useless position.
+    pub fn deepest_dirty(&self) -> Option<(usize, u64)> {
         self.lines
             .iter()
-            .enumerate()
-            .rev()
-            .find(|(pos, l)| *pos >= floor && l.dirty)
-            .map(|(pos, l)| (pos, l.tag))
+            .rposition(|l| l.dirty)
+            .map(|pos| (pos, self.lines[pos].tag))
     }
 
     /// Returns the number of resident lines.
@@ -196,7 +195,7 @@ mod tests {
     }
 
     #[test]
-    fn eager_candidate_prefers_highest_position() {
+    fn deepest_dirty_prefers_highest_position() {
         let mut s = LruSet::new(4);
         for t in [1, 2, 3, 4] {
             s.insert(t);
@@ -204,22 +203,22 @@ mod tests {
         // Stack: 4(MRU) 3 2 1(LRU). Dirty 3 and 1.
         s.state_mut(3).unwrap().dirty = true;
         s.state_mut(1).unwrap().dirty = true;
-        // Floor 0: the LRU-most dirty line, tag 1 at position 3.
-        assert_eq!(s.eager_candidate(0), Some((3, 1)));
-        // Floor 2 excludes position 1 (tag 3): still tag 1.
-        assert_eq!(s.eager_candidate(2), Some((3, 1)));
+        // The LRU-most dirty line: tag 1 at position 3.
+        assert_eq!(s.deepest_dirty(), Some((3, 1)));
         s.state_mut(1).unwrap().dirty = false;
-        // Now only tag 3 at position 1 is dirty; floor 2 excludes it.
-        assert_eq!(s.eager_candidate(2), None);
-        assert_eq!(s.eager_candidate(1), Some((1, 3)));
+        // Now only tag 3 at position 1 is dirty.
+        assert_eq!(s.deepest_dirty(), Some((1, 3)));
+        // Promoting a clean line above it pushes it one position down.
+        s.touch(1);
+        assert_eq!(s.deepest_dirty(), Some((2, 3)));
     }
 
     #[test]
-    fn eager_candidate_ignores_clean_lines() {
+    fn deepest_dirty_ignores_clean_lines() {
         let mut s = LruSet::new(2);
         s.insert(1);
         s.insert(2);
-        assert_eq!(s.eager_candidate(0), None);
+        assert_eq!(s.deepest_dirty(), None);
     }
 
     #[test]

@@ -459,6 +459,11 @@ pub struct Controller {
     /// `tick` fast-paths such cycles. Reset to `ZERO` whenever a request
     /// is accepted.
     next_actionable: SimTime,
+    /// `tick` calls that ran past the fast path, and calls that took it,
+    /// since construction or the last `reset_stats`. Simulator work, not
+    /// simulated behaviour, so they stay out of [`CtrlStats`].
+    worked_edges: u64,
+    fast_path_edges: u64,
 }
 
 impl Controller {
@@ -533,6 +538,8 @@ impl Controller {
             next_serial: 0,
             rr_start: 0,
             next_actionable: SimTime::ZERO,
+            worked_edges: 0,
+            fast_path_edges: 0,
             policy,
             endurance,
             cancel_wear,
@@ -567,6 +574,20 @@ impl Controller {
     /// Returns the counters.
     pub fn stats(&self) -> &CtrlStats {
         &self.stats
+    }
+
+    /// Memory-clock edges on which [`tick`](Self::tick) ran past its
+    /// fast path, since construction or the last
+    /// [`reset_stats`](Self::reset_stats).
+    pub fn worked_edges(&self) -> u64 {
+        self.worked_edges
+    }
+
+    /// Memory-clock edges on which [`tick`](Self::tick) took its fast
+    /// path (nothing could act), over the same window. Edges replayed by
+    /// [`fast_forward_idle`](Self::fast_forward_idle) are not counted.
+    pub fn fast_path_edges(&self) -> u64 {
+        self.fast_path_edges
     }
 
     /// Returns the wear ledger.
@@ -736,8 +757,10 @@ impl Controller {
             // Nothing can act yet. Keep round-robin fairness identical
             // to a full tick (`issue` advances it once per call).
             self.rr_start = (self.rr_start + 1) % self.banks.len();
+            self.fast_path_edges += 1;
             return;
         }
+        self.worked_edges += 1;
         self.drain_forwarded(now);
         self.release_deferred_repairs(now);
         self.process_completions(now);
@@ -1659,6 +1682,8 @@ impl Controller {
         // table, scrub cursors, and parked repair retries persist.
         self.retention_stats = RetentionStats::default();
         self.scrub_stats = ScrubStats::default();
+        self.worked_edges = 0;
+        self.fast_path_edges = 0;
         // Leveler registers/tables persist as device state; snapshot
         // the counters so reported stats cover the new window.
         self.leveler_base = self.leveler.stats();
@@ -1713,6 +1738,10 @@ mod tests {
             }
             jumped.fast_forward_idle(MemCycles::new(edges.min(10_000)));
             assert_eq!(ticked.rr_start, jumped.rr_start, "{edges} edges");
+            // Only ticks count edges; replayed ones are not ticked.
+            assert_eq!(ticked.fast_path_edges(), edges.min(10_000));
+            assert_eq!(ticked.worked_edges(), 0);
+            assert_eq!(jumped.fast_path_edges(), 0);
         }
         // Rotation is modular, so huge skips need no iteration at all.
         let mut far = mk();

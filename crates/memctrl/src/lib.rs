@@ -636,10 +636,15 @@ mod tests {
             horizon > SimTime::from_ps(MEM_CYCLE_PS),
             "horizon {horizon:?}"
         );
+        // Both ticks so far were due, so both ran past the fast path.
+        assert_eq!((c.worked_edges(), c.fast_path_edges()), (2, 0));
         // An undrained completed read pins the controller to `ZERO`.
         run(&mut c, 2, 80);
         assert_eq!(c.next_event(), Some(SimTime::ZERO));
         assert_eq!(c.pop_read_done(), Some(0));
+        assert!(c.fast_path_edges() > 0, "edges before the completion");
+        c.reset_stats(SimTime::from_ps(80 * MEM_CYCLE_PS));
+        assert_eq!((c.worked_edges(), c.fast_path_edges()), (0, 0));
     }
 
     #[test]

@@ -43,6 +43,17 @@ pub struct SimStats {
     /// Core cycles those jumps covered without a tick. With
     /// `executed_ticks` they add up to the core's cycle count.
     pub skipped_cycles: CoreCycles,
+    /// RNG draws made by LLC eager probes, whether ticked or replayed
+    /// by a jump ([`Cache::eager_probes`]). The same under both loops:
+    /// it is the eager stream's position.
+    pub eager_probes: u64,
+    /// Ticked memory-clock edges on which the controller ran past its
+    /// fast path ([`Controller::worked_edges`]). The same under both
+    /// loops, since a jump only skips edges the fast path would take.
+    pub ctrl_worked_edges: u64,
+    /// Ticked memory-clock edges that took the controller's fast path
+    /// ([`Controller::fast_path_edges`]); jumped edges are not ticked.
+    pub ctrl_fast_path_edges: u64,
 }
 
 /// The complete simulated system: core → L1 → L2 → LLC → memory
@@ -171,7 +182,12 @@ impl System {
 
     /// Returns the tick loops' work counters (see [`SimStats`]).
     pub fn sim_stats(&self) -> SimStats {
-        self.sim_stats
+        SimStats {
+            eager_probes: self.llc.eager_probes(),
+            ctrl_worked_edges: self.ctrl.worked_edges(),
+            ctrl_fast_path_edges: self.ctrl.fast_path_edges(),
+            ..self.sim_stats
+        }
     }
 
     /// Advances the system by one core cycle.
@@ -578,5 +594,31 @@ mod tests {
                 assert!(work.jumps > 0, "{work:?}");
             }
         }
+    }
+
+    #[test]
+    fn eager_probes_and_worked_edges_match_across_loops() {
+        // The jump loop replays skipped probes draw for draw and skips
+        // only edges the controller would fast-path, so both counts pin
+        // the loops to the same eager stream and the same controller work.
+        use mellow_core::BasePolicy;
+        let run = |cycle_loop: bool| {
+            let mut cfg = scaled_config(WritePolicy::new(BasePolicy::BEMellow));
+            cfg.use_cycle_loop = cycle_loop;
+            let mut sys = System::new(cfg, Synth::new(0xF00D, 6));
+            sys.run_instructions(10_000);
+            sys.begin_measurement();
+            sys.run_instructions(20_000);
+            sys.sim_stats()
+        };
+        let (ticked, jumped) = (run(true), run(false));
+        assert!(ticked.eager_probes > 0, "{ticked:?}");
+        assert_eq!(ticked.eager_probes, jumped.eager_probes);
+        assert!(ticked.ctrl_worked_edges > 0, "{ticked:?}");
+        assert_eq!(ticked.ctrl_worked_edges, jumped.ctrl_worked_edges);
+        assert!(
+            jumped.ctrl_fast_path_edges < ticked.ctrl_fast_path_edges,
+            "jumps skip fast-path edges: {ticked:?} vs {jumped:?}"
+        );
     }
 }

@@ -362,7 +362,7 @@ proptest! {
             let mut spec = WorkloadSpec::by_name(&name).unwrap();
             spec.avg_interval = (spec.avg_interval / 8.0).max(2.0);
             spec.working_set_bytes = spec.working_set_bytes.min(8 << 20);
-            Experiment::with_spec(spec, policy)
+            let (metrics, work) = Experiment::with_spec(spec, policy)
                 .warmup(2_000)
                 .instructions(4_000)
                 .seed(seed)
@@ -374,9 +374,10 @@ proptest! {
                     c.mem.sample_period = Duration::from_us(2);
                     c.use_cycle_loop = cycle_loop;
                 })
-                .run()
-                .to_json()
-                .to_string()
+                .run_with_work();
+            // The loops also agree on the eager stream's position and on
+            // the controller edges that did work.
+            (metrics.to_json().to_string(), work.eager_probes, work.ctrl_worked_edges)
         };
         prop_assert_eq!(run(true), run(false));
     }
