@@ -2,14 +2,14 @@
 //!
 //! These measure the cost of the data structures the cycle loop leans
 //! on (LRU stacks, the LLC's eager probe, Start-Gap remapping, the
-//! utility monitor, timer queues, the controller tick, the core tick)
-//! plus end-to-end simulated-instruction throughput of the wired
-//! system. They guard the simulator's own performance, not the paper's
-//! results — those come from the `figures` binary.
+//! utility monitor, the controller tick, the core tick) plus end-to-end
+//! simulated-instruction throughput of the wired system. They guard the
+//! simulator's own performance, not the paper's results — those come
+//! from the `figures` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mellow_core::{UtilityMonitor, WritePolicy};
-use mellow_engine::{DetRng, SimTime, TimerQueue};
+use mellow_engine::{DetRng, SimTime};
 use mellow_memctrl::{Controller, MemConfig};
 use mellow_nvm::{CancelWear, EnduranceModel, StartGap};
 use mellow_sim::Experiment;
@@ -110,18 +110,6 @@ fn bench_monitor(c: &mut Criterion) {
             if i.is_multiple_of(1000) {
                 black_box(m.sample());
             }
-        });
-    });
-}
-
-fn bench_timer_queue(c: &mut Criterion) {
-    c.bench_function("timer_queue_schedule_pop", |b| {
-        let mut q: TimerQueue<u64> = TimerQueue::new();
-        let mut t = 0u64;
-        b.iter(|| {
-            t += 7;
-            q.schedule(SimTime::from_ns(t % 1000 + t), t);
-            black_box(q.pop_due(SimTime::from_ns(t)))
         });
     });
 }
@@ -296,7 +284,6 @@ criterion_group!(
     bench_llc_eager_probe,
     bench_startgap,
     bench_monitor,
-    bench_timer_queue,
     bench_endurance,
     bench_controller_tick,
     bench_core_tick,

@@ -10,11 +10,8 @@
 //! - [`Clock`] — a fixed-frequency clock domain converting between cycles
 //!   and [`SimTime`] (the simulated system mixes a 2 GHz core domain with a
 //!   400 MHz memory domain).
-//! - [`TimerQueue`] — a deterministic pending-completion queue used by
-//!   components that have in-flight operations (cache fills, bank busy
-//!   intervals, bus transfers).
-//! - [`stats`] — counters, busy-time accumulators and histograms from which
-//!   every figure of the paper is ultimately computed.
+//! - [`stats`] — busy-time accumulators and histograms from which the
+//!   paper's utilization and latency figures are computed.
 //! - [`DetRng`] — a small deterministic RNG so that identical seeds always
 //!   reproduce identical simulations.
 //! - [`json`] — a dependency-free JSON kernel used to persist experiment
@@ -23,12 +20,13 @@
 //! # Examples
 //!
 //! ```
-//! use mellow_engine::{Clock, SimTime, TimerQueue};
+//! use mellow_engine::{Clock, SimTime};
 //!
 //! let mem_clock = Clock::from_mhz(400);
-//! let mut timers: TimerQueue<&str> = TimerQueue::new();
-//! timers.schedule(mem_clock.cycles_to_time(60), "write pulse done");
-//! assert_eq!(timers.pop_due(SimTime::from_ns(150)), Some("write pulse done"));
+//! // A 60-cycle write pulse issued at time zero ends at 150 ns.
+//! let done = mem_clock.cycles_to_time(60);
+//! assert_eq!(done, SimTime::from_ns(150));
+//! assert_eq!(mem_clock.cycle_at(done), 60);
 //! ```
 
 mod clock;
@@ -36,9 +34,7 @@ pub mod json;
 mod rng;
 pub mod stats;
 mod time;
-mod timer;
 
 pub use clock::Clock;
 pub use rng::DetRng;
 pub use time::{CoreCycles, Duration, MemCycles, SimTime};
-pub use timer::TimerQueue;

@@ -1,65 +1,12 @@
 //! Statistics primitives.
 //!
-//! Every figure of the paper is computed from three kinds of measurements:
-//! event counts ([`Counter`]), time-in-state accumulations ([`BusyTracker`],
-//! e.g. bank utilization and write-drain time), and distributions
-//! ([`Histogram`], e.g. read latency). All are plain data that serialize
-//! as plain data so experiment results can be dumped as JSON rows.
+//! Besides plain `u64` event counters, the paper's figures need two kinds
+//! of measurement: time-in-state accumulations ([`BusyTracker`], e.g.
+//! write-drain time) and distributions ([`Histogram`], e.g. read
+//! latency). Both are plain data, so experiment results can be dumped as
+//! JSON rows.
 
 use crate::{Duration, SimTime};
-use std::fmt;
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use mellow_engine::stats::Counter;
-///
-/// let mut writes = Counter::new();
-/// writes.add(3);
-/// writes.inc();
-/// assert_eq!(writes.get(), 4);
-/// ```
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Increments by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Returns the current count.
-    #[inline]
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-
-    /// Returns the count as `f64` for ratio arithmetic.
-    #[inline]
-    pub fn get_f64(&self) -> f64 {
-        self.0 as f64
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Accumulates the total time a component spends in a boolean state
 /// (busy/idle, draining/not), tolerating redundant transitions.
@@ -102,11 +49,6 @@ impl BusyTracker {
         if let Some(since) = self.busy_since.take() {
             self.accumulated += now.saturating_since(since);
         }
-    }
-
-    /// Returns `true` while in the busy state.
-    pub fn is_busy(&self) -> bool {
-        self.busy_since.is_some()
     }
 
     /// Returns the total busy time up to `now`, including any open interval.
@@ -241,16 +183,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.inc();
-        c.add(10);
-        assert_eq!(c.get(), 11);
-        assert_eq!(c.get_f64(), 11.0);
-        assert_eq!(c.to_string(), "11");
-    }
-
-    #[test]
     fn busy_tracker_accumulates_intervals() {
         let mut t = BusyTracker::new();
         t.set_busy(SimTime::from_ns(0));
@@ -265,7 +197,6 @@ mod tests {
     fn busy_tracker_open_interval_counts() {
         let mut t = BusyTracker::new();
         t.set_busy(SimTime::from_ns(5));
-        assert!(t.is_busy());
         assert_eq!(t.busy_time(SimTime::from_ns(15)), Duration::from_ns(10));
     }
 

@@ -9,7 +9,7 @@ use mellow_core::{
     WritePolicy, WriteSpeed,
 };
 use mellow_engine::stats::{BusyTracker, Histogram};
-use mellow_engine::{Duration, MemCycles, SimTime, TimerQueue};
+use mellow_engine::{Duration, MemCycles, SimTime};
 use mellow_nvm::energy::EnergyAccount;
 use mellow_nvm::{
     CancelWear, EnduranceModel, FaultState, LevelerStats, LifetimeModel, LifetimeProjection,
@@ -293,7 +293,6 @@ struct InFlight {
     /// Actual latency factor driven (1.0 normal; the policy's slow
     /// factor, or a graded level under `+GR`).
     factor: f64,
-    cancellable: bool,
     cancels: u32,
     /// Verify-retry attempts this write has already consumed (fault
     /// layer); carried from the queue entry so cancels preserve it.
@@ -309,16 +308,36 @@ struct InFlight {
     end: SimTime,
 }
 
+impl InFlight {
+    /// The queue entry that retries this write after a verify failure:
+    /// the data is still latched at the bank (no bus transfer), the
+    /// original enqueue time keeps its age priority, and the full pulse
+    /// is driven again. A cancel or pause overrides the fields it moves.
+    fn requeued(&self, retries: u32) -> QueuedReq {
+        QueuedReq {
+            data_resident: true,
+            cancels: self.cancels,
+            retries,
+            repair: self.repair,
+            ..QueuedReq::new(self.line, self.mapping, self.enq)
+        }
+    }
+}
+
 /// Per-bank state in struct-of-arrays layout: the hot loops
-/// ([`Controller::issue`]'s round-robin pass and
-/// [`Controller::compute_next_actionable`]) read exactly one field
-/// (`busy_until`) across *all* banks per call, so keeping each field in
+/// ([`Controller::issue`]'s round-robin pass, the completion poll and
+/// [`Controller::compute_next_actionable`]) read one field (`busy_until`
+/// or `op_end`) across *all* banks per call, so keeping each field in
 /// its own dense lane turns those sweeps into contiguous scans instead
 /// of strided walks over a struct array.
 #[derive(Debug)]
 struct Banks {
     open_row: Vec<Option<u64>>,
     busy_until: Vec<SimTime>,
+    /// End time of the bank's in-flight op (`in_flight[b]`'s `end`), or
+    /// `SimTime::MAX` when it has none: the lane completions are polled
+    /// from. Written only by [`set_in_flight`](Self::set_in_flight).
+    op_end: Vec<SimTime>,
     in_flight: Vec<Option<InFlight>>,
     busy_time: Vec<Duration>,
 }
@@ -328,6 +347,7 @@ impl Banks {
         Banks {
             open_row: vec![None; n],
             busy_until: vec![SimTime::ZERO; n],
+            op_end: vec![SimTime::MAX; n],
             in_flight: vec![None; n],
             busy_time: vec![Duration::ZERO; n],
         }
@@ -337,12 +357,41 @@ impl Banks {
     fn len(&self) -> usize {
         self.busy_until.len()
     }
-}
 
-#[derive(Debug, Clone, Copy)]
-struct Completion {
-    serial: u64,
-    bank: usize,
+    /// Starts (`Some`) or retires (`None`) the bank's in-flight op. The
+    /// one writer of `in_flight` and `op_end`, so the two never diverge.
+    #[inline]
+    fn set_in_flight(&mut self, bank: usize, op: Option<InFlight>) {
+        self.op_end[bank] = op.map_or(SimTime::MAX, |op| op.end);
+        self.in_flight[bank] = op;
+    }
+
+    /// The bank whose in-flight op is due by `now` with the smallest
+    /// `(end, serial)`: completions retire in end-time order, and ops
+    /// ending on the same picosecond retire in issue order.
+    fn next_due(&self, now: SimTime) -> Option<usize> {
+        let serial = |bank: usize| {
+            self.in_flight[bank]
+                .as_ref()
+                .map_or(u64::MAX, |op| op.serial)
+        };
+        let mut due: Option<usize> = None;
+        for (bank, &end) in self.op_end.iter().enumerate() {
+            if end > now {
+                continue;
+            }
+            let first = match due {
+                None => true,
+                Some(d) => {
+                    end < self.op_end[d] || (end == self.op_end[d] && serial(bank) < serial(d))
+                }
+            };
+            if first {
+                due = Some(bank);
+            }
+        }
+        due
+    }
 }
 
 /// The cycle-level memory controller for a resistive main memory.
@@ -411,7 +460,6 @@ pub struct Controller {
     /// Recent activation times per rank, for tFAW.
     rank_acts: Vec<VecDeque<SimTime>>,
     bus_free_at: SimTime,
-    completions: TimerQueue<Completion>,
     /// Forwarded reads awaiting their (bank-free) completion time.
     forwarded_pending: VecDeque<(SimTime, u64)>,
     read_done: VecDeque<u64>,
@@ -515,7 +563,6 @@ impl Controller {
             banks: Banks::new(banks),
             rank_acts: (0..cfg.num_ranks).map(|_| VecDeque::new()).collect(),
             bus_free_at: SimTime::ZERO,
-            completions: TimerQueue::new(),
             forwarded_pending: VecDeque::new(),
             read_done: VecDeque::new(),
             ledger: WearLedger::new(banks, endurance, cancel_wear),
@@ -637,18 +684,8 @@ impl Controller {
             self.stats.read_rejects += 1;
             return false;
         }
-        let mapping = self.cfg.map_line(line);
-        self.queues.push_read(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        });
+        self.queues
+            .push_read(QueuedReq::new(line, self.cfg.map_line(line), now));
         self.stats.reads_accepted += 1;
         self.next_actionable = SimTime::ZERO;
         true
@@ -661,18 +698,8 @@ impl Controller {
             self.stats.write_rejects += 1;
             return false;
         }
-        let mapping = self.cfg.map_line(line);
-        self.queues.push_write(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        });
+        self.queues
+            .push_write(QueuedReq::new(line, self.cfg.map_line(line), now));
         *self.pending_line_writes.entry(line).or_insert(0) += 1;
         self.stats.demand_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
@@ -694,18 +721,8 @@ impl Controller {
     /// has already marked the line clean by the time it calls this.
     pub fn try_eager(&mut self, line: u64, now: SimTime) {
         assert!(self.eager_has_room(), "eager queue overflow");
-        let mapping = self.cfg.map_line(line);
-        self.queues.push_eager(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        });
+        self.queues
+            .push_eager(QueuedReq::new(line, self.cfg.map_line(line), now));
         *self.pending_line_writes.entry(line).or_insert(0) += 1;
         self.stats.eager_writes_accepted += 1;
         self.next_actionable = SimTime::ZERO;
@@ -804,7 +821,7 @@ impl Controller {
             return SimTime::ZERO;
         }
         let mut next = SimTime::MAX;
-        if let Some(t) = self.completions.next_due() {
+        for &t in &self.banks.op_end {
             next = next.min(t);
         }
         if let Some(&(t, _)) = self.forwarded_pending.front() {
@@ -865,25 +882,23 @@ impl Controller {
         }
     }
 
+    /// Retires every op due by `now`, polled from the banks' `op_end`
+    /// lane in `(end, serial)` order. A cancelled op leaves nothing
+    /// behind: cancelling clears its bank's lane entry.
     fn process_completions(&mut self, now: SimTime) {
-        while let Some(c) = self.completions.pop_due(now) {
-            let Some(op) = self.banks.in_flight[c.bank] else {
-                continue; // cancelled
-            };
-            if op.serial != c.serial {
-                continue; // cancelled and bank reused
-            }
-            self.banks.in_flight[c.bank] = None;
+        while let Some(bank_idx) = self.banks.next_due(now) {
+            let op = self.banks.in_flight[bank_idx].expect("a due bank has an op in flight");
+            self.banks.set_in_flight(bank_idx, None);
             match op.kind {
                 OpKind::Read => {
                     self.read_done.push_back(op.line);
                     self.stats
                         .read_latency_ns
                         .record(op.end.saturating_since(op.enq).as_ns());
-                    self.check_read_retention(c.bank, &op);
+                    self.check_read_retention(bank_idx, &op);
                 }
                 OpKind::DemandWrite | OpKind::EagerWrite => {
-                    self.complete_write(c.bank, op);
+                    self.complete_write(bank_idx, op);
                 }
             }
         }
@@ -893,16 +908,7 @@ impl Controller {
         if self.faults.is_some() && !self.verify_write(bank_idx, &op) {
             return;
         }
-        match self.pending_line_writes.entry(op.line) {
-            Entry::Occupied(mut e) => {
-                if *e.get() <= 1 {
-                    e.remove();
-                } else {
-                    *e.get_mut() -= 1;
-                }
-            }
-            Entry::Vacant(_) => debug_assert!(false, "completed write missing from line index"),
-        }
+        self.release_pending_line(op.line);
         let factor = op.factor;
         let phys = self.leveler.remap(bank_idx, op.mapping.block);
         self.ledger.record_write(bank_idx, Some(phys), factor);
@@ -984,9 +990,9 @@ impl Controller {
                         // data is safe in the controller, and spacing
                         // the attempts keeps a failing block from
                         // monopolizing its bank.
-                        self.defer_repair_retry(bank_idx, op, op.retries + 1);
+                        self.defer_repair_retry(op, op.retries + 1);
                     } else {
-                        self.requeue_failed(bank_idx, op, op.retries + 1);
+                        self.requeue_failed(op, op.retries + 1);
                     }
                 } else {
                     // Retry budget spent: ask the leveler first — a
@@ -997,7 +1003,7 @@ impl Controller {
                         RemapOutcome::Remapped => {
                             // A fresh spare: the retry budget starts over.
                             self.fault_stats.remaps += 1;
-                            self.requeue_failed(bank_idx, op, 0);
+                            self.requeue_failed(op, 0);
                         }
                         RemapOutcome::Delegate => {
                             if self
@@ -1007,7 +1013,7 @@ impl Controller {
                                 .remap(bank_idx, phys)
                             {
                                 self.fault_stats.remaps += 1;
-                                self.requeue_failed(bank_idx, op, 0);
+                                self.requeue_failed(op, 0);
                             } else {
                                 self.drop_lost_write(op);
                             }
@@ -1034,20 +1040,9 @@ impl Controller {
     /// priority preserved, like a cancel). The data is still latched at
     /// the bank, so the retry skips the bus transfer, and the line stays
     /// in the pending index — reads keep forwarding from it.
-    fn requeue_failed(&mut self, bank_idx: usize, op: &InFlight, retries: u32) {
-        let req = QueuedReq {
-            line: op.line,
-            bank: bank_idx,
-            row: op.mapping.row,
-            enq: op.enq,
-            data_resident: true,
-            cancels: op.cancels,
-            remaining: 1.0,
-            retries,
-            repair: op.repair,
-        };
+    fn requeue_failed(&mut self, op: &InFlight, retries: u32) {
         self.queues
-            .requeue_front(req, op.kind == OpKind::EagerWrite);
+            .requeue_front(op.requeued(retries), op.kind == OpKind::EagerWrite);
     }
 
     /// Drops a write whose data cannot be preserved (stuck block with no
@@ -1067,7 +1062,13 @@ impl Controller {
             // restamps it.
             r.forget(op.mapping.bank, op.mapping.block);
         }
-        match self.pending_line_writes.entry(op.line) {
+        self.release_pending_line(op.line);
+    }
+
+    /// Drops one pending write of `line` from the forwarding index, when
+    /// that write completes or is lost.
+    fn release_pending_line(&mut self, line: u64) {
+        match self.pending_line_writes.entry(line) {
             Entry::Occupied(mut e) => {
                 if *e.get() <= 1 {
                     e.remove();
@@ -1075,7 +1076,7 @@ impl Controller {
                     *e.get_mut() -= 1;
                 }
             }
-            Entry::Vacant(_) => debug_assert!(false, "lost write missing from line index"),
+            Entry::Vacant(_) => debug_assert!(false, "released write missing from line index"),
         }
     }
 
@@ -1149,38 +1150,21 @@ impl Controller {
     /// controller (scrub verify read or demand read return), so the
     /// rewrite skips the bus transfer.
     fn enqueue_repair(&mut self, line: u64, now: SimTime) {
-        let mapping = self.cfg.map_line(line);
         self.queues.push_write(QueuedReq {
-            line,
-            bank: mapping.bank,
-            row: mapping.row,
-            enq: now,
             data_resident: true,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
             repair: true,
+            ..QueuedReq::new(line, self.cfg.map_line(line), now)
         });
         *self.pending_line_writes.entry(line).or_insert(0) += 1;
     }
 
     /// Parks a verify-failed repair rewrite until its backoff elapses:
     /// the wait doubles with each consumed retry.
-    fn defer_repair_retry(&mut self, bank_idx: usize, op: &InFlight, retries: u32) {
+    fn defer_repair_retry(&mut self, op: &InFlight, retries: u32) {
         let doublings = (retries - 1).min(16);
         let wait = self.cfg.repair_backoff.scale((1u64 << doublings) as f64);
-        let req = QueuedReq {
-            line: op.line,
-            bank: bank_idx,
-            row: op.mapping.row,
-            enq: op.enq,
-            data_resident: true,
-            cancels: op.cancels,
-            remaining: 1.0,
-            retries,
-            repair: true,
-        };
-        self.deferred_repairs.push_back((op.end + wait, req));
+        self.deferred_repairs
+            .push_back((op.end + wait, op.requeued(retries)));
     }
 
     /// Releases deferred repair retries whose backoff has elapsed back
@@ -1237,7 +1221,7 @@ impl Controller {
             let Some(op) = self.banks.in_flight[bank_idx] else {
                 continue;
             };
-            if op.kind == OpKind::Read || !op.cancellable || now >= op.end {
+            if op.kind == OpKind::Read || !self.policy.cancellable(op.speed) || now >= op.end {
                 continue;
             }
             // Cancel or pause: yield the bank to the read and re-queue
@@ -1279,7 +1263,7 @@ impl Controller {
             self.banks.busy_time[bank_idx] =
                 self.banks.busy_time[bank_idx].saturating_sub(op.end.saturating_since(now));
             self.banks.busy_until[bank_idx] = now;
-            self.banks.in_flight[bank_idx] = None;
+            self.banks.set_in_flight(bank_idx, None);
             if !in_pulse {
                 // The line was still bursting over the bus: no data has
                 // reached the bank, so the retry is not `data_resident`,
@@ -1293,15 +1277,10 @@ impl Controller {
                 }
             }
             let req = QueuedReq {
-                line: op.line,
-                bank: bank_idx,
-                row: op.mapping.row,
-                enq: op.enq,
                 data_resident: in_pulse,
                 cancels: op.cancels + 1,
                 remaining,
-                retries: op.retries,
-                repair: op.repair,
+                ..op.requeued(op.retries)
             };
             self.queues
                 .requeue_front(req, op.kind == OpKind::EagerWrite);
@@ -1435,14 +1414,13 @@ impl Controller {
         let serial = self.alloc_serial();
         self.banks.busy_time[bank_idx] += end.saturating_since(now);
         self.banks.busy_until[bank_idx] = end;
-        self.banks.in_flight[bank_idx] = Some(InFlight {
+        let op = InFlight {
             serial,
             kind: OpKind::Read,
             line: req.line,
             mapping: self.cfg.map_line(req.line),
             speed: WriteSpeed::Normal,
             factor: 1.0,
-            cancellable: false,
             cancels: 0,
             retries: 0,
             repair: false,
@@ -1450,14 +1428,8 @@ impl Controller {
             remaining_at_start: 0.0,
             pulse_start: end,
             end,
-        });
-        self.completions.schedule(
-            end,
-            Completion {
-                serial,
-                bank: bank_idx,
-            },
-        );
+        };
+        self.banks.set_in_flight(bank_idx, Some(op));
         true
     }
 
@@ -1471,9 +1443,10 @@ impl Controller {
     ) {
         let factor = match speed {
             WriteSpeed::Normal => 1.0,
-            // +GR: grade the slowdown by write-queue pressure.
+            // +GR: grade the slowdown by write-queue pressure. Repair
+            // rewrites enter past the cap, so occupancy saturates at 1.
             WriteSpeed::Slow => self.policy.slow_factor_for_occupancy(
-                self.queues.write_len() as f64 / self.cfg.write_queue_cap as f64,
+                (self.queues.write_len() as f64 / self.cfg.write_queue_cap as f64).min(1.0),
             ),
         };
         // A resumed (+WP) write only drives its outstanding fraction.
@@ -1496,14 +1469,13 @@ impl Controller {
         let serial = self.alloc_serial();
         self.banks.busy_time[bank_idx] += end.saturating_since(now);
         self.banks.busy_until[bank_idx] = end;
-        self.banks.in_flight[bank_idx] = Some(InFlight {
+        let op = InFlight {
             serial,
             kind,
             line: req.line,
             mapping: self.cfg.map_line(req.line),
             speed,
             factor,
-            cancellable: self.policy.cancellable(speed),
             cancels: req.cancels,
             retries: req.retries,
             repair: req.repair,
@@ -1511,14 +1483,8 @@ impl Controller {
             remaining_at_start: req.remaining,
             pulse_start,
             end,
-        });
-        self.completions.schedule(
-            end,
-            Completion {
-                serial,
-                bank: bank_idx,
-            },
-        );
+        };
+        self.banks.set_in_flight(bank_idx, Some(op));
     }
 
     fn try_activate(&mut self, rank: usize, now: SimTime) -> bool {
@@ -1748,6 +1714,74 @@ mod tests {
         far.fast_forward_idle(MemCycles::new(1_000_003));
         let banks = far.banks.len() as u64;
         assert_eq!(far.rr_start as u64, 1_000_003 % banks);
+    }
+
+    #[test]
+    fn same_picosecond_completions_retire_in_issue_order() {
+        // Reads serialize on the shared bus, so two can never end on the
+        // same picosecond through `issue`; plant them on their banks
+        // directly. The older read (lower serial) sits on the
+        // higher-numbered bank, so a bank-index tie-break would retire
+        // the pair in the wrong order.
+        let mut c = Controller::new(
+            small_cfg(),
+            WritePolicy::norm(),
+            EnduranceModel::reram_default(),
+            CancelWear::Prorated,
+        );
+        let end = SimTime::from_ps(40 * 2500);
+        for (bank, line) in [(3, 3), (1, 1)] {
+            let serial = c.alloc_serial();
+            c.banks.busy_until[bank] = end;
+            c.banks.set_in_flight(
+                bank,
+                Some(InFlight {
+                    serial,
+                    kind: OpKind::Read,
+                    line,
+                    mapping: c.cfg.map_line(line),
+                    speed: WriteSpeed::Normal,
+                    factor: 1.0,
+                    cancels: 0,
+                    retries: 0,
+                    repair: false,
+                    enq: SimTime::ZERO,
+                    remaining_at_start: 0.0,
+                    pulse_start: end,
+                    end,
+                }),
+            );
+        }
+        drain(&mut c, 39);
+        assert_eq!(c.pop_read_done(), None, "retired before their end");
+        c.tick(end);
+        assert_eq!(c.pop_read_done(), Some(3), "older op must retire first");
+        assert_eq!(c.pop_read_done(), Some(1));
+        assert!(c.banks.op_end.iter().all(|&t| t == SimTime::MAX));
+    }
+
+    #[test]
+    fn repair_past_a_full_write_queue_reads_as_full() {
+        // Repair rewrites enter the write queue past its cap. A slow
+        // write graded against that queue must read it as full, not
+        // hand the policy an occupancy above 1.
+        let mut c = Controller::new(
+            small_cfg(),
+            WritePolicy::slow(),
+            EnduranceModel::reram_default(),
+            CancelWear::Prorated,
+        );
+        let cap = c.cfg.write_queue_cap;
+        for line in 0..cap as u64 {
+            assert!(c.try_write(line, SimTime::ZERO));
+        }
+        // Two repairs: the issue path takes its write off the queue
+        // before grading, so one overflow entry would still read as 1.
+        c.enqueue_repair(cap as u64, SimTime::ZERO);
+        c.enqueue_repair(cap as u64 + 1, SimTime::ZERO);
+        assert_eq!(c.queue_depths().1, cap + 2);
+        drain(&mut c, 1);
+        assert_eq!(c.stats().writes_issued_slow, 4, "one slow write per bank");
     }
 
     fn small_cfg() -> MemConfig {

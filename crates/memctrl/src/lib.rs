@@ -215,12 +215,36 @@ mod tests {
         run(&mut c, 21, 4);
         assert_eq!(c.stats().writes_cancelled, 1);
         // The read proceeds promptly; the write re-issues afterwards.
-        run(&mut c, 25, 600);
-        assert_eq!(c.pop_read_done(), Some(same_bank_line(0)));
+        // Timeline: the write issued at cycle 1 (bus burst, then a 3x
+        // pulse); the read issues at cycle 21 (row miss, then its bus
+        // burst); the write, still latched at the bank, re-issues with
+        // no burst the moment the read frees the bank.
+        let cfg = c.config().clone();
+        let slow_pulse = cfg.t_wp.scale(c.policy().slow_factor);
+        let cycle_of = |t: SimTime| t.as_ps().div_ceil(MEM_CYCLE_PS);
+        let aborted_end = cycle_of(SimTime::from_ps(MEM_CYCLE_PS) + cfg.t_bus + slow_pulse);
+        let read_end =
+            cycle_of(SimTime::from_ps(21 * MEM_CYCLE_PS) + cfg.t_rcd + cfg.t_cas + cfg.t_bus);
+        let retry_end = cycle_of(SimTime::from_ps(read_end * MEM_CYCLE_PS) + slow_pulse);
+        assert!(aborted_end < retry_end);
+        let completed =
+            |c: &Controller| c.stats().writes_completed_normal + c.stats().writes_completed_slow;
+        // Nothing completes when the aborted pulse would have ended: the
+        // cancel retired that pulse, and the retry is still running.
+        run(&mut c, 25, aborted_end - 24);
         assert_eq!(
-            c.stats().writes_completed_normal + c.stats().writes_completed_slow,
-            1
+            completed(&c),
+            0,
+            "aborted pulse completed at cycle {aborted_end}"
         );
+        assert_eq!(c.pop_read_done(), Some(same_bank_line(0)));
+        // The retry completes at its own end, not a cycle earlier.
+        run(&mut c, aborted_end + 1, retry_end - 1 - aborted_end);
+        assert_eq!(completed(&c), 0);
+        run(&mut c, retry_end, 1);
+        assert_eq!(completed(&c), 1);
+        run(&mut c, retry_end + 1, 400);
+        assert_eq!(completed(&c), 1);
         // Cancelled attempt charged partial wear: total wear is above a
         // lone completed write's.
         let bank = c.config().map_line(0).bank;

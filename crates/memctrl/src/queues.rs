@@ -17,6 +17,7 @@
 //! is continuously *tested* (see `tests/properties.rs` and the
 //! end-to-end workload sweep), not assumed.
 
+use crate::LineMapping;
 use mellow_engine::SimTime;
 use std::collections::VecDeque;
 
@@ -42,6 +43,24 @@ pub(crate) struct QueuedReq {
     /// completion counts as a repair, not a demand/eager write, and a
     /// lost repair is a retention-uncorrectable loss.
     pub(crate) repair: bool,
+}
+
+impl QueuedReq {
+    /// A fresh request for `line` (at `mapping`) enqueued at `now`: not
+    /// yet transferred, never cancelled or retried, full pulse to drive.
+    pub(crate) fn new(line: u64, mapping: LineMapping, now: SimTime) -> Self {
+        QueuedReq {
+            line,
+            bank: mapping.bank,
+            row: mapping.row,
+            enq: now,
+            data_resident: false,
+            cancels: 0,
+            remaining: 1.0,
+            retries: 0,
+            repair: false,
+        }
+    }
 }
 
 /// A handle to one read chosen by [`RequestQueues::pick_read`], valid
@@ -312,17 +331,12 @@ mod tests {
     use super::*;
 
     fn req(line: u64, bank: usize, row: u64) -> QueuedReq {
-        QueuedReq {
-            line,
+        let mapping = LineMapping {
             bank,
             row,
-            enq: SimTime::ZERO,
-            data_resident: false,
-            cancels: 0,
-            remaining: 1.0,
-            retries: 0,
-            repair: false,
-        }
+            block: 0,
+        };
+        QueuedReq::new(line, mapping, SimTime::ZERO)
     }
 
     fn both() -> [RequestQueues; 2] {

@@ -4,7 +4,7 @@ use mellow_writes::core::{
     decide_write, BankQueueView, UtilityMonitor, WearQuota, WearQuotaConfig, WriteDecision,
     WritePolicy,
 };
-use mellow_writes::engine::{Clock, Duration, SimTime, TimerQueue};
+use mellow_writes::engine::{Clock, Duration, SimTime};
 use mellow_writes::nvm::{CancelWear, EnduranceModel, ExpoFactor, StartGap, WearLedger};
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -256,23 +256,6 @@ proptest! {
             if q < assoc {
                 prop_assert!(tail(q) * 32 >= total);
             }
-        }
-    }
-
-    /// Timer queue pops in nondecreasing (time, insertion) order.
-    #[test]
-    fn timer_queue_ordering(times in proptest::collection::vec(0u64..1_000, 1..100)) {
-        let mut q = TimerQueue::new();
-        for (i, &t) in times.iter().enumerate() {
-            q.schedule(SimTime::from_ns(t), (t, i));
-        }
-        let horizon = SimTime::from_ns(1_000_000);
-        let mut prev: Option<(u64, usize)> = None;
-        while let Some((t, i)) = q.pop_due(horizon) {
-            if let Some((pt, pi)) = prev {
-                prop_assert!(pt < t || (pt == t && pi < i), "order violated");
-            }
-            prev = Some((t, i));
         }
     }
 

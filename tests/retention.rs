@@ -104,6 +104,56 @@ fn enabled_scrubber_is_loop_equivalent() {
     );
 }
 
+/// FNV-1a over a metrics row's serialized JSON.
+fn fnv1a(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Golden metrics with every layer that consumes cross-bank completion
+/// order switched on: transient verify failures and endurance spread
+/// (the fault layer's transient RNG is shared by all banks, so two
+/// banks completing in the other order draw each other's verdicts),
+/// drift deadlines and background scrubbing, under `BE-Mellow+SC+WQ`
+/// so slow writes, cancellations and quota periods all run too. The
+/// fault-free goldens in `tests/leveling.rs` cannot see a change in
+/// the order completions retire; this one can.
+#[test]
+fn fault_and_retention_layers_match_golden() {
+    let golden: [(&str, u64); 3] = [
+        ("gups", 0x2eaf68a4a99969a7),
+        ("lbm", 0xc64c1fb9f4c7aed7),
+        ("milc", 0xb35eaedee4384613),
+    ];
+    for (w, want) in golden {
+        let m = scaled(w, WritePolicy::be_mellow_sc().with_wear_quota(), 31)
+            .configure(|c| {
+                c.mem.fault.enabled = true;
+                c.mem.fault.transient_rate = 0.05;
+                c.mem.fault.endurance_sigma = 0.3;
+                c.mem.fault.seed = 0xFA17;
+                c.mem.retention.enabled = true;
+                c.mem.retention.base_retention = Duration::from_us(20);
+                c.mem.retention.drift_sigma = 0.3;
+                c.mem.retention.slow_write_boost = 1.0;
+                c.mem.retention.wear_sensitivity = 1.0;
+                c.mem.retention.seed = 0xD21F;
+                c.mem.scrub_interval = Duration::from_us(2);
+            })
+            .run();
+        // The run must exercise the machinery, not vacuously agree.
+        assert!(m.faults.verify_failures > 0, "{w}: no verify failure");
+        assert!(m.ctrl.writes_cancelled > 0, "{w}: no write was cancelled");
+        assert!(m.scrub.scrub_reads > 0, "{w}: scrubber never ran");
+        let got = fnv1a(&m.to_json().to_string());
+        assert_eq!(got, want, "{w}: metrics drifted (hash {got:#018x})");
+    }
+}
+
 /// One chaos case: a controller at a seed-derived retention + fault
 /// operating point, fed a seed-derived request stream, then drained
 /// and audited.
