@@ -2,8 +2,9 @@
 //!
 //! These measure the cost of the data structures the cycle loop leans
 //! on (LRU stacks, the LLC's eager probe, Start-Gap remapping, the
-//! utility monitor, the controller tick, the core tick) plus end-to-end
-//! simulated-instruction throughput of the wired system. They guard the
+//! utility monitor, the controller tick, the core tick). End-to-end
+//! throughput of the wired system and the sweep's per-cell key cost are
+//! perfbench's (`perfbench/`), measured with repeats. These guard the
 //! simulator's own performance, not the paper's results — those come
 //! from the `figures` binary.
 
@@ -12,7 +13,6 @@ use mellow_core::{UtilityMonitor, WritePolicy};
 use mellow_engine::{DetRng, SimTime};
 use mellow_memctrl::{Controller, MemConfig};
 use mellow_nvm::{CancelWear, EnduranceModel, StartGap};
-use mellow_sim::Experiment;
 use mellow_workloads::{SyntheticWorkload, WorkloadSpec};
 use std::hint::black_box;
 
@@ -205,79 +205,6 @@ fn bench_core_tick(c: &mut Criterion) {
     });
 }
 
-fn bench_system_throughput(c: &mut Criterion) {
-    let mut group = c.benchmark_group("system");
-    group.sample_size(10);
-    for workload in ["stream", "gups"] {
-        group.bench_function(format!("simulate_20k_instructions_{workload}"), |b| {
-            let mut spec = WorkloadSpec::try_by_name(workload).unwrap();
-            spec.working_set_bytes = 16 << 20;
-            b.iter(|| {
-                let mut system = Experiment::with_spec(spec.clone(), WritePolicy::be_mellow_sc())
-                    .configure(|c| {
-                        c.l1.size_bytes = 4 << 10;
-                        c.l2.size_bytes = 16 << 10;
-                        c.llc.size_bytes = 64 << 10;
-                    })
-                    .build();
-                system.run_instructions(20_000);
-                black_box(system.core().ipc())
-            });
-        });
-    }
-    group.finish();
-}
-
-fn bench_system_loops(c: &mut Criterion) {
-    // The same retirement target under both run_instructions loops:
-    // `_cycle` is the one-cycle-at-a-time oracle, the unsuffixed bench
-    // the default jump loop. The gap is widest on gups,
-    // whose random misses keep the core head-blocked on memory for most
-    // of its cycles.
-    let mut group = c.benchmark_group("system_loop");
-    group.sample_size(10);
-    for workload in ["gups", "stream"] {
-        for (suffix, cycle_loop) in [("", false), ("_cycle", true)] {
-            group.bench_function(format!("run_20k_instructions_{workload}{suffix}"), |b| {
-                let mut spec = WorkloadSpec::try_by_name(workload).unwrap();
-                spec.working_set_bytes = 16 << 20;
-                b.iter(|| {
-                    let mut system =
-                        Experiment::with_spec(spec.clone(), WritePolicy::be_mellow_sc())
-                            .configure(|c| {
-                                c.l1.size_bytes = 4 << 10;
-                                c.l2.size_bytes = 16 << 10;
-                                c.llc.size_bytes = 64 << 10;
-                                c.use_cycle_loop = cycle_loop;
-                            })
-                            .build();
-                    system.run_instructions(20_000);
-                    black_box(system.core().ipc())
-                });
-            });
-        }
-    }
-    group.finish();
-}
-
-fn bench_sweep_overhead(c: &mut Criterion) {
-    use mellow_bench::{try_experiment_for, CellKey, Scale};
-    // The sweep path builds each cell's experiment and hashes it into a
-    // store key before any simulation; this guards that per-cell setup
-    // stays negligible next to the simulation itself.
-    c.bench_function("sweep_cell_build_and_key", |b| {
-        b.iter(|| {
-            let e = try_experiment_for(
-                black_box("GemsFDTD"),
-                WritePolicy::be_mellow_sc(),
-                Scale::quick(),
-            )
-            .unwrap();
-            black_box(CellKey::for_experiment(&e))
-        });
-    });
-}
-
 criterion_group!(
     benches,
     bench_lru,
@@ -287,8 +214,5 @@ criterion_group!(
     bench_endurance,
     bench_controller_tick,
     bench_core_tick,
-    bench_system_throughput,
-    bench_system_loops,
-    bench_sweep_overhead,
 );
 criterion_main!(benches);

@@ -30,7 +30,7 @@
 //! }
 //! ```
 
-use crate::{try_experiment_for, CellKey, MatrixKey, ResultStore, Scale, StoreError};
+use crate::{try_experiment_for, CellKey, ResultStore, Scale, StoreError};
 use mellow_core::WritePolicy;
 use mellow_sim::{Experiment, Metrics, SimStats, SystemConfig};
 use mellow_workloads::UnknownWorkload;
@@ -160,7 +160,7 @@ impl From<StoreError> for SweepError {
 
 /// Builder for a parallel, optionally-cached batch of experiments.
 ///
-/// See the [module docs](self) for the full picture; the life of a
+/// See the [crate docs](crate) for the full picture; the life of a
 /// sweep is `Sweep::new(scale).cells(…)` plus any of:
 ///
 /// - [`threads`](Sweep::threads) — worker count (defaults to the
@@ -388,23 +388,6 @@ impl fmt::Debug for Sweep {
     }
 }
 
-/// Converts sweep results into the `(MatrixKey, Metrics)` rows the
-/// figure formatters consume, preserving order.
-pub fn into_matrix(results: Vec<CellResult>) -> Vec<(MatrixKey, Metrics)> {
-    results
-        .into_iter()
-        .map(|r| {
-            (
-                MatrixKey {
-                    workload: r.workload,
-                    policy: r.policy,
-                },
-                r.metrics,
-            )
-        })
-        .collect()
-}
-
 fn fmt_duration(d: Duration) -> String {
     let secs = d.as_secs_f64();
     if secs < 60.0 {
@@ -576,18 +559,20 @@ mod tests {
     }
 
     #[test]
-    fn into_matrix_preserves_order() {
+    fn results_preserve_cell_order() {
         let results = Sweep::new(tiny())
             .cells(tiny_cells())
             .threads(4)
             .quiet()
             .run()
             .unwrap();
-        let matrix = into_matrix(results);
-        assert_eq!(matrix[0].0.workload, "lbm");
-        assert_eq!(matrix[0].0.policy, WritePolicy::norm());
-        assert_eq!(matrix[3].0.workload, "mcf");
-        assert_eq!(matrix[3].0.policy, WritePolicy::be_mellow_sc());
+        assert_eq!(results[0].metrics.workload, "lbm");
+        assert_eq!(results[0].metrics.policy, WritePolicy::norm().to_string());
+        assert_eq!(results[3].metrics.workload, "mcf");
+        assert_eq!(
+            results[3].metrics.policy,
+            WritePolicy::be_mellow_sc().to_string()
+        );
     }
 
     #[test]

@@ -33,11 +33,6 @@ impl BankQueueView {
             quota_exceeded,
         }
     }
-
-    /// Whether any request is queued for this bank.
-    pub const fn has_work(&self) -> bool {
-        self.reads_waiting + self.writes_waiting + self.eager_waiting > 0
-    }
 }
 
 /// The outcome of the Figure 9 decision tree for one bank.

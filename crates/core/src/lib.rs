@@ -36,4 +36,4 @@ mod quota;
 pub use decision::{decide_write, demand_speed, BankQueueView, WriteDecision};
 pub use monitor::UtilityMonitor;
 pub use policy::{BasePolicy, WritePolicy, WriteSpeed, DEFAULT_SLOW_FACTOR};
-pub use quota::{WearQuota, WearQuotaConfig};
+pub use quota::{wear_bound_per_period, WearQuota};

@@ -37,40 +37,24 @@
 pub struct UtilityMonitor {
     hit_counters: Vec<u64>,
     miss_counter: u64,
-    threshold_num: u64,
-    threshold_den: u64,
     /// Positions `>= eager_position` are useless; `assoc` means none.
     eager_position: usize,
 }
 
 impl UtilityMonitor {
-    /// The paper's `THRESHOLD_RATIO` numerator/denominator: 1/32.
-    pub const DEFAULT_THRESHOLD: (u64, u64) = (1, 32);
+    /// The paper's `THRESHOLD_RATIO` as numerator/denominator: 1/32.
+    pub const THRESHOLD_RATIO: (u64, u64) = (1, 32);
 
-    /// Creates a monitor for an `assoc`-way cache with the default 1/32
-    /// threshold.
+    /// Creates a monitor for an `assoc`-way cache.
     ///
     /// # Panics
     ///
     /// Panics if `assoc` is zero.
     pub fn new(assoc: usize) -> Self {
-        Self::with_threshold(assoc, Self::DEFAULT_THRESHOLD.0, Self::DEFAULT_THRESHOLD.1)
-    }
-
-    /// Creates a monitor with a custom `num/den` threshold ratio.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assoc` or `den` is zero, or `num > den`.
-    pub fn with_threshold(assoc: usize, num: u64, den: u64) -> Self {
         assert!(assoc > 0, "associativity must be non-zero");
-        assert!(den > 0, "threshold denominator must be non-zero");
-        assert!(num <= den, "threshold ratio must not exceed 1");
         UtilityMonitor {
             hit_counters: vec![0; assoc],
             miss_counter: 0,
-            threshold_num: num,
-            threshold_den: den,
             eager_position: assoc,
         }
     }
@@ -105,11 +89,12 @@ impl UtilityMonitor {
         let total: u64 = self.hit_counters.iter().sum::<u64>() + self.miss_counter;
         if total > 0 {
             // Smallest p with sum(hits[p..]) * den < total * num.
+            let (num, den) = Self::THRESHOLD_RATIO;
             let mut tail: u64 = 0;
             let mut position = assoc;
             for p in (0..assoc).rev() {
                 tail += self.hit_counters[p];
-                if tail * self.threshold_den < total * self.threshold_num {
+                if tail * den < total * num {
                     position = p;
                 } else {
                     break;
@@ -235,20 +220,6 @@ mod tests {
         }
         m2.record_hit(1); // tail = 1, total = 33: 1/33 < 1/32
         assert_eq!(m2.sample(), 1);
-    }
-
-    #[test]
-    fn custom_threshold() {
-        let mut m = UtilityMonitor::with_threshold(4, 1, 2);
-        // Half the hits in the tail half -> under 1/2 only beyond pos 2.
-        for _ in 0..60 {
-            m.record_hit(0);
-        }
-        for _ in 0..40 {
-            m.record_hit(2);
-        }
-        // tails: p3=0 (<50), p2=40 (<50), p1=40 (<50), p0=100 (not).
-        assert_eq!(m.sample(), 1);
     }
 
     #[test]

@@ -2,74 +2,32 @@
 
 use mellow_engine::Duration;
 
-/// Configuration of the Wear Quota scheme.
+/// The lifetime the Wear Quota guarantees (`T_lifetime`, 8 years in the
+/// paper), in seconds.
+const TARGET_LIFETIME_SECS: f64 = 8.0 * 365.25 * 24.0 * 3600.0;
+
+/// Returns `WearBound_bank`: the per-period wear budget of one bank, in
+/// normal-write equivalents.
 ///
-/// The quota divides execution into sample periods (`T_sample`, 500 µs in
-/// the paper) and budgets each bank's wear per period so that, sustained,
-/// the bank lasts `T_lifetime` (8 years in the paper):
+/// The quota divides execution into sample periods (`T_sample`) and
+/// budgets each bank's wear per period so that, sustained, the bank
+/// lasts the paper's 8-year `T_lifetime`:
 ///
 /// ```text
 /// WearBound_blk  = Endur_blk · T_sample / T_lifetime
 /// WearBound_bank = BlkNum_bank · WearBound_blk · Ratio_quota
 /// ```
 ///
-/// `Ratio_quota` (0.9) conservatively absorbs Start-Gap's leveling
-/// overhead.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WearQuotaConfig {
-    /// Target minimum lifetime in seconds (paper: 8 years).
-    pub target_lifetime_secs: f64,
-    /// Sample period (paper: 500 µs).
-    pub sample_period: Duration,
-    /// Endurance of one block in normal-write equivalents (paper: 5·10⁶).
-    pub endurance_per_block: f64,
-    /// Blocks per bank (`BlkNum_bank`).
-    pub blocks_per_bank: u64,
-    /// `Ratio_quota` in `(0, 1]` (paper: 0.9).
-    pub ratio_quota: f64,
-}
-
-impl WearQuotaConfig {
-    /// The paper's parameters: 8-year target, 500 µs period, 5·10⁶ block
-    /// endurance, `Ratio_quota = 0.9`.
-    pub fn paper_default(blocks_per_bank: u64) -> Self {
-        WearQuotaConfig {
-            target_lifetime_secs: 8.0 * 365.25 * 24.0 * 3600.0,
-            sample_period: Duration::from_us(500),
-            endurance_per_block: 5e6,
-            blocks_per_bank,
-            ratio_quota: 0.9,
-        }
-    }
-
-    /// Returns `WearBound_bank`: the per-period wear budget of one bank,
-    /// in normal-write equivalents.
-    pub fn wear_bound_per_period(&self) -> f64 {
-        let bound_blk =
-            self.endurance_per_block * self.sample_period.as_secs_f64() / self.target_lifetime_secs;
-        self.blocks_per_bank as f64 * bound_blk * self.ratio_quota
-    }
-
-    fn validate(&self) {
-        assert!(
-            self.target_lifetime_secs > 0.0,
-            "target lifetime must be positive"
-        );
-        assert!(
-            self.sample_period > Duration::ZERO,
-            "sample period must be non-zero"
-        );
-        assert!(
-            self.endurance_per_block > 0.0,
-            "block endurance must be positive"
-        );
-        assert!(self.blocks_per_bank > 0, "blocks per bank must be non-zero");
-        assert!(
-            self.ratio_quota > 0.0 && self.ratio_quota <= 1.0,
-            "ratio_quota must be in (0, 1], got {}",
-            self.ratio_quota
-        );
-    }
+/// `Ratio_quota` (0.9 in the paper) conservatively absorbs the wear
+/// leveler's overhead.
+pub fn wear_bound_per_period(
+    endurance_per_block: f64,
+    blocks_per_bank: u64,
+    sample_period: Duration,
+    ratio_quota: f64,
+) -> f64 {
+    let bound_blk = endurance_per_block * sample_period.as_secs_f64() / TARGET_LIFETIME_SECS;
+    blocks_per_bank as f64 * bound_blk * ratio_quota
 }
 
 /// Per-bank Wear Quota state.
@@ -83,11 +41,11 @@ impl WearQuotaConfig {
 /// # Examples
 ///
 /// ```
-/// use mellow_core::{WearQuota, WearQuotaConfig};
+/// use mellow_core::{wear_bound_per_period, WearQuota};
+/// use mellow_engine::Duration;
 ///
-/// let cfg = WearQuotaConfig::paper_default(1 << 20);
-/// let mut quota = WearQuota::new(cfg, 2);
-/// let bound = cfg.wear_bound_per_period();
+/// let bound = wear_bound_per_period(5e6, 1 << 20, Duration::from_us(500), 0.9);
+/// let mut quota = WearQuota::new(bound, 2);
 /// // Bank 0 stayed in budget; bank 1 doubled it.
 /// quota.start_period(&[bound * 0.5, bound * 2.0]);
 /// assert!(!quota.exceeded(0));
@@ -95,7 +53,8 @@ impl WearQuotaConfig {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct WearQuota {
-    config: WearQuotaConfig,
+    /// `WearBound_bank`, in normal-write equivalents.
+    bound_per_period: f64,
     /// Periods completed so far (`Num_previous_periods`).
     periods: u64,
     /// Whether each bank is slow-only for the current period.
@@ -103,24 +62,24 @@ pub struct WearQuota {
 }
 
 impl WearQuota {
-    /// Creates quota state for `banks` banks.
+    /// Creates quota state for `banks` banks, each budgeted
+    /// `bound_per_period` normal-write equivalents per period (see
+    /// [`wear_bound_per_period`]).
     ///
     /// # Panics
     ///
-    /// Panics if the configuration is invalid or `banks` is zero.
-    pub fn new(config: WearQuotaConfig, banks: usize) -> Self {
-        config.validate();
+    /// Panics if the bound is not positive and finite, or `banks` is zero.
+    pub fn new(bound_per_period: f64, banks: usize) -> Self {
+        assert!(
+            bound_per_period > 0.0 && bound_per_period.is_finite(),
+            "wear bound must be positive and finite, got {bound_per_period}"
+        );
         assert!(banks > 0, "bank count must be non-zero");
         WearQuota {
-            config,
+            bound_per_period,
             periods: 0,
             exceeded: vec![false; banks],
         }
-    }
-
-    /// Returns the configuration.
-    pub fn config(&self) -> &WearQuotaConfig {
-        &self.config
     }
 
     /// Returns the number of completed periods.
@@ -146,7 +105,7 @@ impl WearQuota {
             "bank count mismatch in wear snapshot"
         );
         self.periods += 1;
-        let allowance = self.config.wear_bound_per_period() * self.periods as f64;
+        let allowance = self.bound_per_period * self.periods as f64;
         for (flag, &wear) in self.exceeded.iter_mut().zip(bank_wear) {
             *flag = wear > allowance;
         }
@@ -171,33 +130,46 @@ impl WearQuota {
 mod tests {
     use super::*;
 
-    fn cfg() -> WearQuotaConfig {
-        WearQuotaConfig::paper_default(1 << 20)
+    /// The paper's parameters for a 2^20-block bank.
+    fn paper_bound() -> f64 {
+        wear_bound_per_period(5e6, 1 << 20, Duration::from_us(500), 0.9)
     }
 
     #[test]
-    fn paper_bound_magnitude() {
-        // 5e6 * 500us / 8yr * 2^20 blocks * 0.9 ≈ 9.3 normal writes
-        // per period per 2^20-block bank.
-        let bound = cfg().wear_bound_per_period();
-        let t_ratio = 500e-6 / (8.0 * 365.25 * 24.0 * 3600.0);
-        let expect = (1u64 << 20) as f64 * 5e6 * t_ratio * 0.9;
-        assert!((bound - expect).abs() / expect < 1e-12);
-        assert!(bound > 9.0 && bound < 10.0, "bound = {bound}");
+    fn bound_matches_section_iv_c() {
+        // WearBound_bank = BlkNum_bank * Endur_blk * T_sample / T_lifetime
+        // * Ratio_quota, with 5e6 block endurance, T_sample = 500 us,
+        // Ratio_quota = 0.9 and T_lifetime = 8 years of 365.25 days.
+        let eight_years = 8.0 * 365.25 * 24.0 * 3600.0;
+        for (blocks_per_bank, low, high) in [
+            // A 2^20-block bank: about 9.3 normal writes per period.
+            (1u64 << 20, 9.0, 10.0),
+            // `MemConfig::paper_default()`: 16 GiB of 64 B blocks over
+            // 16 banks, with its 0.9 leveling efficiency as Ratio_quota.
+            ((16u64 << 30) / 64 / 16, 149.0, 150.0),
+        ] {
+            let bound = wear_bound_per_period(5e6, blocks_per_bank, Duration::from_us(500), 0.9);
+            let expect = blocks_per_bank as f64 * 5e6 * 500e-6 / eight_years * 0.9;
+            assert!(
+                (bound - expect).abs() / expect < 1e-12,
+                "{bound} vs {expect}"
+            );
+            assert!(bound > low && bound < high, "bound = {bound}");
+        }
     }
 
     #[test]
     fn under_budget_banks_unrestricted() {
-        let mut q = WearQuota::new(cfg(), 4);
-        let bound = cfg().wear_bound_per_period();
+        let bound = paper_bound();
+        let mut q = WearQuota::new(bound, 4);
         q.start_period(&[0.0, bound * 0.99, bound * 0.5, 0.0]);
         assert_eq!(q.exceeded_count(), 0);
     }
 
     #[test]
     fn cumulative_accounting_allows_catching_up() {
-        let mut q = WearQuota::new(cfg(), 1);
-        let bound = cfg().wear_bound_per_period();
+        let bound = paper_bound();
+        let mut q = WearQuota::new(bound, 1);
         // Period 1: bank wrote double its budget -> restricted.
         q.start_period(&[bound * 2.0]);
         assert!(q.exceeded(0));
@@ -210,8 +182,8 @@ mod tests {
 
     #[test]
     fn banks_restricted_independently() {
-        let mut q = WearQuota::new(cfg(), 3);
-        let bound = cfg().wear_bound_per_period();
+        let bound = paper_bound();
+        let mut q = WearQuota::new(bound, 3);
         q.start_period(&[bound * 3.0, 0.0, bound * 1.01]);
         assert!(q.exceeded(0));
         assert!(!q.exceeded(1));
@@ -224,9 +196,9 @@ mod tests {
         // A bank writing just under its bound every period must never be
         // restricted; one writing 1.5x the bound must be restricted a
         // positive fraction of periods.
-        let mut on_budget = WearQuota::new(cfg(), 1);
-        let mut over = WearQuota::new(cfg(), 1);
-        let bound = cfg().wear_bound_per_period();
+        let bound = paper_bound();
+        let mut on_budget = WearQuota::new(bound, 1);
+        let mut over = WearQuota::new(bound, 1);
         let mut cum_on = 0.0;
         let mut cum_over = 0.0;
         let mut restricted = 0;
@@ -254,15 +226,13 @@ mod tests {
     #[test]
     #[should_panic(expected = "bank count mismatch")]
     fn wrong_snapshot_size_rejected() {
-        let mut q = WearQuota::new(cfg(), 2);
+        let mut q = WearQuota::new(paper_bound(), 2);
         q.start_period(&[0.0]);
     }
 
     #[test]
-    #[should_panic(expected = "(0, 1]")]
-    fn bad_ratio_rejected() {
-        let mut c = cfg();
-        c.ratio_quota = 0.0;
-        let _ = WearQuota::new(c, 1);
+    #[should_panic(expected = "wear bound must be positive")]
+    fn non_positive_bound_rejected() {
+        let _ = WearQuota::new(0.0, 1);
     }
 }

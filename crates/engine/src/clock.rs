@@ -1,23 +1,25 @@
 //! Fixed-frequency clock domains.
 
-use crate::{Duration, SimTime};
+use crate::Duration;
 
 /// A fixed-frequency clock domain.
 ///
-/// Converts between cycle counts and simulation time. The period must be an
-/// integer number of picoseconds, which holds for every frequency used by
-/// the paper's configuration (2 GHz core = 500 ps, 400 MHz memory = 2500 ps).
+/// Its period converts cycle counts to and from simulation time through
+/// the domain-tagged [`CoreCycles`](crate::CoreCycles) and
+/// [`MemCycles`](crate::MemCycles). The period must be an integer number
+/// of picoseconds, which holds for every frequency used by the paper's
+/// configuration (2 GHz core = 500 ps, 400 MHz memory = 2500 ps).
 ///
 /// # Examples
 ///
 /// ```
-/// use mellow_engine::{Clock, Duration, SimTime};
+/// use mellow_engine::{Clock, Duration, MemCycles, SimTime};
 ///
 /// let mem = Clock::from_mhz(400);
 /// assert_eq!(mem.period(), Duration::from_ps(2500));
 /// // A 60-cycle write pulse at 400 MHz is the paper's 150 ns normal write.
-/// assert_eq!(mem.cycles_to_duration(60), Duration::from_ns(150));
-/// assert_eq!(mem.cycle_at(SimTime::from_ns(150)), 60);
+/// assert_eq!(MemCycles::new(60).span(&mem), Duration::from_ns(150));
+/// assert_eq!(MemCycles::containing(SimTime::from_ns(150), &mem), MemCycles::new(60));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Clock {
@@ -56,29 +58,12 @@ impl Clock {
     pub fn period(&self) -> Duration {
         Duration::from_ps(self.period_ps)
     }
-
-    /// Returns the span occupied by `cycles` clock cycles.
-    #[inline]
-    pub fn cycles_to_duration(&self, cycles: u64) -> Duration {
-        Duration::from_ps(self.period_ps * cycles)
-    }
-
-    /// Returns the instant of the rising edge of cycle `cycles`.
-    #[inline]
-    pub fn cycles_to_time(&self, cycles: u64) -> SimTime {
-        SimTime::from_ps(self.period_ps * cycles)
-    }
-
-    /// Returns the index of the cycle containing (or starting at) `time`.
-    #[inline]
-    pub fn cycle_at(&self, time: SimTime) -> u64 {
-        time.as_ps() / self.period_ps
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{MemCycles, SimTime};
 
     #[test]
     fn paper_clock_domains() {
@@ -87,17 +72,19 @@ mod tests {
         let mem = Clock::from_mhz(400);
         assert_eq!(mem.period(), Duration::from_ps(2500));
         // Table II: tRCD = 48 memory cycles = 120 ns.
-        assert_eq!(mem.cycles_to_duration(48), Duration::from_ns(120));
+        assert_eq!(MemCycles::new(48).span(&mem), Duration::from_ns(120));
         // Table II: 3.0x slow write = 180 cycles = 450 ns.
-        assert_eq!(mem.cycles_to_duration(180), Duration::from_ns(450));
+        assert_eq!(MemCycles::new(180).span(&mem), Duration::from_ns(450));
     }
 
     #[test]
     fn cycle_indexing() {
         let mem = Clock::from_mhz(400);
-        assert_eq!(mem.cycle_at(SimTime::ZERO), 0);
-        assert_eq!(mem.cycle_at(SimTime::from_ps(2499)), 0);
-        assert_eq!(mem.cycle_at(SimTime::from_ps(2500)), 1);
+        let at = |ps| MemCycles::containing(SimTime::from_ps(ps), &mem);
+        assert_eq!(at(0), MemCycles::ZERO);
+        assert_eq!(at(2499), MemCycles::ZERO);
+        assert_eq!(at(2500), MemCycles::ONE);
+        assert_eq!(MemCycles::ONE.edge(&mem), SimTime::from_ps(2500));
     }
 
     #[test]

@@ -216,14 +216,14 @@ macro_rules! cycle_newtype {
             /// `clock`, which must be the domain's own clock.
             #[inline]
             pub fn edge(self, clock: &Clock) -> SimTime {
-                clock.cycles_to_time(self.0)
+                SimTime::from_ps(clock.period().as_ps() * self.0)
             }
 
             /// Returns the span occupied by this many cycles of
             /// `clock`, which must be the domain's own clock.
             #[inline]
             pub fn span(self, clock: &Clock) -> Duration {
-                clock.cycles_to_duration(self.0)
+                Duration::from_ps(clock.period().as_ps() * self.0)
             }
 
             /// Returns the first cycle of `clock` whose rising edge is
@@ -238,7 +238,7 @@ macro_rules! cycle_newtype {
             /// down).
             #[inline]
             pub fn containing(t: SimTime, clock: &Clock) -> Self {
-                $name(clock.cycle_at(t))
+                $name(t.as_ps() / clock.period().as_ps())
             }
 
             /// Returns `true` when the cycle index is a multiple of

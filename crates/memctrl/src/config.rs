@@ -58,11 +58,13 @@ pub struct MemConfig {
     /// layout is the slower reference implementation kept for the
     /// equivalence tests.
     pub use_scan_queues: bool,
-    /// Wear-leveling scheme and its knobs (gap/rotation interval,
-    /// spare-pool size). Replaces the old `startgap_interval` and
-    /// `spares_per_bank` scalars; the default is Start-Gap at the
-    /// paper's Ψ = 100 with 8 spares per bank, exactly as before.
+    /// Wear-leveling scheme and its rotation knobs; the default is
+    /// Start-Gap at the paper's Ψ = 100.
     pub leveler: LevelerConfig,
+    /// Spare blocks per bank backing the verify/retry/remap path (8 by
+    /// default). A pool-owning leveler (WoLFRaM) holds them itself;
+    /// otherwise the fault layer's per-bank pool does.
+    pub spares_per_bank: u64,
     /// Wear-leveling efficiency η used for lifetime projection.
     pub leveling_efficiency: f64,
     /// Write-verify retry budget: a write whose verify fails is retried
@@ -84,28 +86,6 @@ pub struct MemConfig {
     /// each visit reads one block at the bank's scrub pointer during an
     /// idle-bank window and rewrites it if its drift deadline passed.
     pub scrub_interval: Duration,
-    /// Arbitration between a due scrub visit and a queued eager write
-    /// contending for the same idle-bank window.
-    pub scrub_priority: ScrubPriority,
-    /// Base backoff a verify-failed repair rewrite waits before
-    /// re-entering its queue, doubling per consumed retry (so retry
-    /// storms spread across memory-clock edges instead of hammering
-    /// the same ones). `ZERO` retries immediately, like ordinary
-    /// verify-failed writes.
-    pub repair_backoff: Duration,
-}
-
-/// Who wins an idle-bank window when a due scrub visit and a queued
-/// eager write both want it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScrubPriority {
-    /// Eager writebacks keep their PR-era priority; the scrubber only
-    /// gets banks with no queued work at all (the default).
-    EagerFirst,
-    /// A due scrub visit preempts eager writebacks (demand writes still
-    /// win): retention repair is favored over wear-motivated early
-    /// writebacks.
-    ScrubFirst,
 }
 
 impl MemConfig {
@@ -133,13 +113,12 @@ impl MemConfig {
             max_cancels: 4,
             use_scan_queues: false,
             leveler: LevelerConfig::start_gap_default(),
+            spares_per_bank: 8,
             leveling_efficiency: 0.9,
             max_write_retries: 2,
             fault: FaultConfig::disabled(),
             retention: RetentionConfig::disabled(),
             scrub_interval: Duration::from_us(100),
-            scrub_priority: ScrubPriority::EagerFirst,
-            repair_backoff: Duration::from_ns(20),
         }
     }
 
@@ -191,23 +170,10 @@ impl MemConfig {
         bank % self.num_ranks
     }
 
-    /// Spare blocks per bank backing the verify/retry/remap path,
-    /// whichever layer owns the pool (back-compat accessor for the old
-    /// `spares_per_bank` field).
-    pub fn spares_per_bank(&self) -> u64 {
-        self.leveler.spares_per_bank()
-    }
-
-    /// Resizes the per-bank spare pool, keeping the leveling scheme
-    /// (back-compat setter for the old `spares_per_bank` field).
+    /// Resizes the per-bank spare pool (the same as assigning
+    /// [`spares_per_bank`](Self::spares_per_bank)).
     pub fn set_spares_per_bank(&mut self, spares: u64) {
-        self.leveler.set_spares_per_bank(spares);
-    }
-
-    /// Selects Start-Gap with gap interval Ψ, keeping the spare-pool
-    /// size (back-compat setter for the old `startgap_interval` field).
-    pub fn set_startgap_interval(&mut self, psi: u32) {
-        self.leveler = LevelerConfig::start_gap(psi, self.leveler.spares_per_bank());
+        self.spares_per_bank = spares;
     }
 
     /// Validates internal consistency.
@@ -231,6 +197,10 @@ impl MemConfig {
         assert!(
             self.total_lines().is_multiple_of(self.num_banks as u64),
             "lines must divide evenly across banks"
+        );
+        assert!(
+            self.blocks_per_bank() > 0,
+            "blocks per bank must be non-zero"
         );
         assert!(
             self.drain_low < self.drain_high && self.drain_high <= self.write_queue_cap,
@@ -346,6 +316,23 @@ mod tests {
             c.validate();
             assert_eq!(c.num_banks, banks);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "blocks per bank must be non-zero")]
+    fn capacity_below_one_block_per_bank_rejected() {
+        let mut c = MemConfig::paper_default();
+        c.capacity_bytes = 0;
+        c.validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "leveling efficiency in (0, 1]")]
+    fn zero_leveling_efficiency_rejected() {
+        // The leveling efficiency is the Wear Quota's Ratio_quota.
+        let mut c = MemConfig::paper_default();
+        c.leveling_efficiency = 0.0;
+        c.validate();
     }
 
     #[test]

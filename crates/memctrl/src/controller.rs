@@ -1,11 +1,10 @@
 //! The resistive-memory controller: queues, bank state machines, write
 //! drains, write cancellation, and the Mellow Writes issue logic.
 
-use crate::config::ScrubPriority;
 use crate::queues::{QueuedReq, ReadPick, RequestQueues};
 use crate::{LineMapping, MemConfig};
 use mellow_core::{
-    decide_write, demand_speed, BankQueueView, WearQuota, WearQuotaConfig, WriteDecision,
+    decide_write, demand_speed, wear_bound_per_period, BankQueueView, WearQuota, WriteDecision,
     WritePolicy, WriteSpeed,
 };
 use mellow_engine::stats::{BusyTracker, Histogram};
@@ -240,8 +239,7 @@ pub struct ScrubStats {
     /// retention resolution invariant).
     pub scrub_rewrites: u64,
     /// Idle-bank windows a due scrub visit lost to foreground work
-    /// (a read, demand write, or — under
-    /// [`ScrubPriority::EagerFirst`] — an eager write).
+    /// (a read, a demand write or an eager write).
     pub scrub_bank_conflicts: u64,
 }
 
@@ -497,7 +495,7 @@ pub struct Controller {
     /// itself waits for an idle-bank window (see [`Self::issue`]).
     next_scrub_at: Vec<SimTime>,
     /// Repair rewrites waiting out their verify-retry backoff, with
-    /// their release times (see [`MemConfig::repair_backoff`]). Few
+    /// their release times (see [`REPAIR_BACKOFF`]). Few
     /// entries, FIFO per release time; scanned in insertion order.
     deferred_repairs: VecDeque<(SimTime, QueuedReq)>,
     next_serial: u64,
@@ -514,6 +512,24 @@ pub struct Controller {
     fast_path_edges: u64,
 }
 
+/// Base backoff a verify-failed repair rewrite waits before re-entering
+/// its queue, doubling per consumed retry, so retry storms spread across
+/// memory-clock edges instead of hammering the same ones.
+const REPAIR_BACKOFF: Duration = Duration::from_ns(20);
+
+/// Fresh Wear Quota state for `cfg`'s banks: the §IV-C bound from the
+/// device's block endurance, with the leveling efficiency as
+/// `Ratio_quota`.
+fn new_quota(cfg: &MemConfig, endurance: &EnduranceModel) -> WearQuota {
+    let bound = wear_bound_per_period(
+        endurance.base_endurance(),
+        cfg.blocks_per_bank(),
+        cfg.sample_period,
+        cfg.leveling_efficiency,
+    );
+    WearQuota::new(bound, cfg.num_banks)
+}
+
 impl Controller {
     /// Creates a controller.
     ///
@@ -528,15 +544,11 @@ impl Controller {
     ) -> Self {
         cfg.validate();
         let banks = cfg.num_banks;
-        let quota = policy.wear_quota.then(|| {
-            let mut qc = WearQuotaConfig::paper_default(cfg.blocks_per_bank());
-            qc.endurance_per_block = endurance.base_endurance();
-            qc.ratio_quota = cfg.leveling_efficiency;
-            qc.sample_period = cfg.sample_period;
-            WearQuota::new(qc, banks)
-        });
+        let quota = policy.wear_quota.then(|| new_quota(&cfg, &endurance));
         let sample_period = cfg.sample_period;
-        let leveler = cfg.leveler.build(banks, cfg.blocks_per_bank());
+        let leveler = cfg
+            .leveler
+            .build(banks, cfg.blocks_per_bank(), cfg.spares_per_bank);
         // The fault layer covers the leveler's whole physical space
         // (e.g. Start-Gap's gap spare) and owns only the spares the
         // leveler delegates (zero for pool-owning levelers).
@@ -984,7 +996,7 @@ impl Controller {
             WriteVerify::Failed => {
                 if op.retries < self.cfg.max_write_retries {
                     self.fault_stats.retries += 1;
-                    if op.repair && self.cfg.repair_backoff > Duration::ZERO {
+                    if op.repair {
                         // Repair retries back off across mem-clock
                         // edges instead of re-queuing immediately: the
                         // data is safe in the controller, and spacing
@@ -1162,7 +1174,7 @@ impl Controller {
     /// the wait doubles with each consumed retry.
     fn defer_repair_retry(&mut self, op: &InFlight, retries: u32) {
         let doublings = (retries - 1).min(16);
-        let wait = self.cfg.repair_backoff.scale((1u64 << doublings) as f64);
+        let wait = REPAIR_BACKOFF.scale((1u64 << doublings) as f64);
         self.deferred_repairs
             .push_back((op.end + wait, op.requeued(retries)));
     }
@@ -1191,11 +1203,10 @@ impl Controller {
         let Some(quota) = &mut self.quota else {
             return;
         };
-        let period = quota.config().sample_period;
         while now >= self.next_period_at {
             let wear: Vec<f64> = self.ledger.iter().map(|b| b.total_wear).collect();
             quota.start_period(&wear);
-            self.next_period_at += period;
+            self.next_period_at += self.cfg.sample_period;
         }
     }
 
@@ -1356,19 +1367,15 @@ impl Controller {
                     }
                 }
                 WriteDecision::Eager(speed) => {
-                    // The one configurable arbitration: eager writes
-                    // and scrub visits both live off idle-bank windows.
-                    if scrub_due && self.cfg.scrub_priority == ScrubPriority::ScrubFirst {
-                        self.scrub_visit(bank_idx, now);
-                    } else {
-                        let req = self
-                            .queues
-                            .take_eager(bank_idx)
-                            .expect("decision implies a queued eager write");
-                        self.issue_write(bank_idx, req, speed, OpKind::EagerWrite, now);
-                        if scrub_due {
-                            self.scrub_stats.scrub_bank_conflicts += 1;
-                        }
+                    // Eager writes and scrub visits both live off
+                    // idle-bank windows; the eager write wins.
+                    let req = self
+                        .queues
+                        .take_eager(bank_idx)
+                        .expect("decision implies a queued eager write");
+                    self.issue_write(bank_idx, req, speed, OpKind::EagerWrite, now);
+                    if scrub_due {
+                        self.scrub_stats.scrub_bank_conflicts += 1;
                     }
                 }
                 WriteDecision::Idle => {
@@ -1664,11 +1671,9 @@ impl Controller {
         if was_draining {
             self.drain_tracker.set_busy(now);
         }
-        if let Some(q) = &self.quota {
-            let mut qc = *q.config();
-            qc.endurance_per_block = self.endurance.base_endurance();
-            self.quota = Some(WearQuota::new(qc, self.cfg.num_banks));
-            self.next_period_at = now + qc.sample_period;
+        if self.quota.is_some() {
+            self.quota = Some(new_quota(&self.cfg, &self.endurance));
+            self.next_period_at = now + self.cfg.sample_period;
         }
         self.next_actionable = SimTime::ZERO;
     }
@@ -1802,7 +1807,7 @@ mod tests {
     fn failing_write_consumes_retries_then_spare_then_loses_data() {
         let mut cfg = small_cfg();
         cfg.max_write_retries = 1;
-        cfg.set_spares_per_bank(1);
+        cfg.spares_per_bank = 1;
         cfg.fault.enabled = true;
         cfg.fault.transient_rate = 1.0; // every verify fails
         let mut c = Controller::new(
@@ -1962,7 +1967,7 @@ mod tests {
     fn repair_write_failures_walk_the_remap_path() {
         let mut cfg = retention_cfg();
         cfg.max_write_retries = 1;
-        cfg.set_spares_per_bank(1);
+        cfg.spares_per_bank = 1;
         cfg.fault.enabled = true; // sigma 0: every block endures 2 writes
         let mut c = Controller::new(
             cfg,
@@ -2003,34 +2008,23 @@ mod tests {
     }
 
     #[test]
-    fn scrub_priority_arbitrates_idle_bank_windows() {
-        let mk = |priority| {
-            let mut cfg = retention_cfg();
-            cfg.retention.base_retention = Duration::from_ns(1_000_000); // never expires here
-            cfg.scrub_interval = Duration::from_ps(2500); // due every edge
-            cfg.scrub_priority = priority;
-            let mut c = Controller::new(
-                cfg,
-                WritePolicy::be_mellow_sc(),
-                EnduranceModel::reram_default(),
-                CancelWear::Prorated,
-            );
-            c.try_eager(0, SimTime::ZERO); // bank 0
-            c.tick(SimTime::from_ps(2500));
-            c
-        };
-        // Eager first: the eager write wins bank 0 (one counted
-        // conflict); the three idle banks scrub.
-        let c = mk(ScrubPriority::EagerFirst);
+    fn eager_write_wins_idle_bank_window_over_due_scrub() {
+        let mut cfg = retention_cfg();
+        cfg.retention.base_retention = Duration::from_ns(1_000_000); // never expires here
+        cfg.scrub_interval = Duration::from_ps(2500); // due every edge
+        let mut c = Controller::new(
+            cfg,
+            WritePolicy::be_mellow_sc(),
+            EnduranceModel::reram_default(),
+            CancelWear::Prorated,
+        );
+        c.try_eager(0, SimTime::ZERO); // bank 0
+        c.tick(SimTime::from_ps(2500));
+        // The eager write wins bank 0 (one counted conflict); the three
+        // idle banks scrub.
         assert_eq!(c.queue_depths().2, 0);
         assert_eq!(c.scrub_stats().scrub_reads, 3);
         assert_eq!(c.scrub_stats().scrub_bank_conflicts, 1);
-        // Scrub first: the due visit wins bank 0 and the eager write
-        // waits (no conflict counted — the scrubber did not lose).
-        let c = mk(ScrubPriority::ScrubFirst);
-        assert_eq!(c.queue_depths().2, 1);
-        assert_eq!(c.scrub_stats().scrub_reads, 4);
-        assert_eq!(c.scrub_stats().scrub_bank_conflicts, 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ mod config;
 mod controller;
 mod queues;
 
-pub use config::{LineMapping, MemConfig, ScrubPriority};
+pub use config::{LineMapping, MemConfig};
 pub use controller::{Controller, CtrlStats, FaultStats, RetentionStats, ScrubStats};
 
 #[cfg(test)]

@@ -237,22 +237,12 @@ impl FaultState {
         self.banks.iter().map(|b| b.lost).sum()
     }
 
-    /// Blocks declared lost in `bank`.
-    pub fn lost_blocks_in(&self, bank: usize) -> u64 {
-        self.banks[bank].lost
-    }
-
     /// Fraction of the block space still holding data: `1.0` until the
     /// first uncorrectable loss, shrinking by `1 / total_blocks` per
     /// lost block.
     pub fn usable_fraction(&self) -> f64 {
         let total = self.blocks_per_bank * self.banks.len() as u64;
         1.0 - self.lost_blocks() as f64 / total as f64
-    }
-
-    /// Whether the block's data has been declared lost.
-    pub fn is_lost(&self, bank: usize, block: u64) -> bool {
-        self.banks[bank].blocks.get(&block).is_some_and(|b| b.lost)
     }
 
     /// Fraction of the block's current cell group's endurance already
@@ -502,7 +492,7 @@ mod tests {
             .expect("entry exists")
             .stuck = true;
         assert!(!s.remap(2, block));
-        assert!(s.is_lost(2, block));
+        assert!(s.banks[2].blocks[&block].lost, "the block is declared lost");
         assert_eq!(s.lost_blocks(), 1);
         assert_eq!(s.verify_write(2, block, 1.0), WriteVerify::Lost);
         // A second out-of-spares remap cannot double-count the loss.

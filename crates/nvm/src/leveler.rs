@@ -32,10 +32,9 @@ use std::fmt;
 
 /// Which wear-leveling scheme a memory controller runs, plus its knobs.
 ///
-/// Carried by `MemConfig::leveler`; the old `startgap_interval` and
-/// `spares_per_bank` scalars folded into the [`StartGap`](Self::StartGap)
-/// variant, which stays the default with the paper's values (Ψ = 100,
-/// 8 spares per bank).
+/// Carried by `MemConfig::leveler`; the spare-pool size is a separate
+/// `MemConfig` field handed to [`build`](Self::build). The default is
+/// [`StartGap`](Self::StartGap) at the paper's Ψ = 100.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum LevelerConfig {
     /// Start-Gap registers (Qureshi et al., MICRO'09): one gap slot per
@@ -44,19 +43,15 @@ pub enum LevelerConfig {
     StartGap {
         /// Demand writes between gap movements (Ψ, 100 in the paper).
         gap_interval: u32,
-        /// Spare blocks per bank backing the verify/retry/remap path.
-        spares_per_bank: u64,
     },
     /// WoLFRaM-style programmable remap table: one sparse permutation
     /// per bank services periodic wear rotation (a two-block swap every
-    /// `remap_interval` writes) and verify-failure remaps from the same
-    /// spare pool.
+    /// `remap_interval` writes) and verify-failure remaps from the
+    /// bank's spare pool, which it owns.
     Wolfram {
         /// Demand writes between rotation swaps (each swap rewrites two
         /// blocks, so overhead is `2 / remap_interval`).
         remap_interval: u32,
-        /// Spare physical blocks per bank, consumed by fault remaps.
-        spares_per_bank: u64,
     },
     /// SoftWear-style software leveling at page granularity: per-page
     /// write counts accumulate each epoch, then the hottest logical
@@ -68,35 +63,20 @@ pub enum LevelerConfig {
         epoch_writes: u64,
         /// Blocks per leveling page; must divide the bank's block count.
         page_blocks: u64,
-        /// Spare blocks per bank for the fault layer's pool (SoftWear
-        /// itself owns no spares).
-        spares_per_bank: u64,
     },
 }
 
 impl LevelerConfig {
-    /// The paper's default: Start-Gap with Ψ = 100 and 8 spares per bank.
+    /// The paper's default: Start-Gap with Ψ = 100.
     pub fn start_gap_default() -> Self {
-        LevelerConfig::StartGap {
-            gap_interval: 100,
-            spares_per_bank: 8,
-        }
-    }
-
-    /// Start-Gap with an explicit gap interval and spare-pool size.
-    pub fn start_gap(gap_interval: u32, spares_per_bank: u64) -> Self {
-        LevelerConfig::StartGap {
-            gap_interval,
-            spares_per_bank,
-        }
+        LevelerConfig::StartGap { gap_interval: 100 }
     }
 
     /// The WoLFRaM-style table at the Start-Gap-equivalent rotation
-    /// interval (Ψ = 100) and the default 8-spare pool.
+    /// interval (Ψ = 100).
     pub fn wolfram_default() -> Self {
         LevelerConfig::Wolfram {
             remap_interval: 100,
-            spares_per_bank: 8,
         }
     }
 
@@ -107,7 +87,6 @@ impl LevelerConfig {
         LevelerConfig::SoftWear {
             epoch_writes: 12_800,
             page_blocks: 64,
-            spares_per_bank: 8,
         }
     }
 
@@ -117,36 +96,6 @@ impl LevelerConfig {
             LevelerConfig::StartGap { .. } => "start-gap",
             LevelerConfig::Wolfram { .. } => "wolfram",
             LevelerConfig::SoftWear { .. } => "softwear",
-        }
-    }
-
-    /// Spare blocks per bank, whichever layer ends up owning them.
-    pub fn spares_per_bank(&self) -> u64 {
-        match *self {
-            LevelerConfig::StartGap {
-                spares_per_bank, ..
-            }
-            | LevelerConfig::Wolfram {
-                spares_per_bank, ..
-            }
-            | LevelerConfig::SoftWear {
-                spares_per_bank, ..
-            } => spares_per_bank,
-        }
-    }
-
-    /// Resizes the per-bank spare pool, keeping the scheme.
-    pub fn set_spares_per_bank(&mut self, spares: u64) {
-        match self {
-            LevelerConfig::StartGap {
-                spares_per_bank, ..
-            }
-            | LevelerConfig::Wolfram {
-                spares_per_bank, ..
-            }
-            | LevelerConfig::SoftWear {
-                spares_per_bank, ..
-            } => *spares_per_bank = spares,
         }
     }
 
@@ -176,29 +125,30 @@ impl LevelerConfig {
     }
 
     /// Builds the configured leveler for `banks` banks of
-    /// `blocks_per_bank` logical blocks each.
+    /// `blocks_per_bank` logical blocks each, backed by
+    /// `spares_per_bank` spare blocks per bank (held by the leveler or
+    /// delegated to the fault layer, per scheme).
     ///
     /// # Panics
     ///
     /// Panics if the configuration fails [`validate`](Self::validate),
     /// either dimension is zero, or (SoftWear) the page size does not
     /// divide the bank's block count.
-    pub fn build(&self, banks: usize, blocks_per_bank: u64) -> Box<dyn WearLeveler> {
+    pub fn build(
+        &self,
+        banks: usize,
+        blocks_per_bank: u64,
+        spares_per_bank: u64,
+    ) -> Box<dyn WearLeveler> {
         self.validate();
         match *self {
-            LevelerConfig::StartGap {
-                gap_interval,
-                spares_per_bank,
-            } => Box::new(StartGapLeveler::new(
+            LevelerConfig::StartGap { gap_interval } => Box::new(StartGapLeveler::new(
                 banks,
                 blocks_per_bank,
                 gap_interval,
                 spares_per_bank,
             )),
-            LevelerConfig::Wolfram {
-                remap_interval,
-                spares_per_bank,
-            } => Box::new(WolframLeveler::new(
+            LevelerConfig::Wolfram { remap_interval } => Box::new(WolframLeveler::new(
                 banks,
                 blocks_per_bank,
                 remap_interval,
@@ -207,7 +157,6 @@ impl LevelerConfig {
             LevelerConfig::SoftWear {
                 epoch_writes,
                 page_blocks,
-                spares_per_bank,
             } => Box::new(SoftWearLeveler::new(
                 banks,
                 blocks_per_bank,
@@ -925,18 +874,13 @@ mod tests {
     /// Every implementation under its test-sized geometry.
     fn all_levelers() -> Vec<Box<dyn WearLeveler>> {
         vec![
-            LevelerConfig::start_gap(5, SPARES).build(BANKS, BLOCKS),
-            LevelerConfig::Wolfram {
-                remap_interval: 5,
-                spares_per_bank: SPARES,
-            }
-            .build(BANKS, BLOCKS),
+            LevelerConfig::StartGap { gap_interval: 5 }.build(BANKS, BLOCKS, SPARES),
+            LevelerConfig::Wolfram { remap_interval: 5 }.build(BANKS, BLOCKS, SPARES),
             LevelerConfig::SoftWear {
                 epoch_writes: 16,
                 page_blocks: 8,
-                spares_per_bank: SPARES,
             }
-            .build(BANKS, BLOCKS),
+            .build(BANKS, BLOCKS, SPARES),
         ]
     }
 
@@ -1039,11 +983,7 @@ mod tests {
 
     #[test]
     fn wolfram_services_remaps_from_its_own_pool_until_exhausted() {
-        let mut lv = LevelerConfig::Wolfram {
-            remap_interval: 5,
-            spares_per_bank: 2,
-        }
-        .build(1, 16);
+        let mut lv = LevelerConfig::Wolfram { remap_interval: 5 }.build(1, 16, 2);
         assert_eq!(lv.fault_pool_spares(), 0);
         assert_eq!(lv.spare_pool(), Some(2));
         let before = lv.remap(0, 9);
@@ -1113,16 +1053,21 @@ mod tests {
             (LevelerConfig::soft_wear_default(), "softwear"),
         ] {
             assert_eq!(cfg.name(), name);
-            assert_eq!(cfg.spares_per_bank(), 8);
-            let mut cfg = cfg;
-            cfg.set_spares_per_bank(3);
-            assert_eq!(cfg.spares_per_bank(), 3);
-            let lv = cfg.build(2, 64);
+            let lv = cfg.build(2, 64, 3);
             assert_eq!(lv.name(), name);
             assert_eq!(lv.banks(), 2);
             assert_eq!(lv.logical_blocks_per_bank(), 64);
+            // The pool lands with its owner: the leveler (all banks'
+            // spares), or the fault layer it delegates to (per bank).
+            match lv.spare_pool() {
+                Some(total) => assert_eq!(total, 2 * 3),
+                None => assert_eq!(lv.fault_pool_spares(), 3),
+            }
         }
-        assert_eq!(LevelerConfig::default(), LevelerConfig::start_gap(100, 8));
+        assert_eq!(
+            LevelerConfig::default(),
+            LevelerConfig::StartGap { gap_interval: 100 }
+        );
     }
 
     #[test]

@@ -15,16 +15,6 @@ pub trait SaturatingMerge {
     /// Folds `other` into `self`: counters saturating-add, gauges take
     /// the minimum.
     fn saturating_merge(&mut self, other: &Self);
-
-    /// Returns the fold of `self` and `other`.
-    fn saturating_sum(&self, other: &Self) -> Self
-    where
-        Self: Clone,
-    {
-        let mut out = self.clone();
-        out.saturating_merge(other);
-        out
-    }
 }
 
 /// Implements [`SaturatingMerge`] over the named `u64` fields:
@@ -96,7 +86,7 @@ mod tests {
     }
 
     #[test]
-    fn sum_leaves_operands_untouched() {
+    fn merge_leaves_the_other_operand_untouched() {
         let a = DemoStats {
             hits: 1,
             misses: 2,
@@ -107,10 +97,11 @@ mod tests {
             misses: 20,
             remaining: 3,
         };
-        let s = a.saturating_sum(&b);
+        let mut s = a.clone();
+        s.saturating_merge(&b);
         assert_eq!(s.hits, 11);
         assert_eq!(s.misses, 22);
         assert_eq!(s.remaining, 3);
-        assert_eq!(a.hits, 1, "sum must not mutate its receiver");
+        assert_eq!(b.hits, 10, "merge must not mutate its operand");
     }
 }

@@ -74,14 +74,6 @@ impl StartGap {
         }
     }
 
-    /// Creates a remapper with the original paper's Ψ = 100. Prefer
-    /// [`LevelerConfig::start_gap_default`](crate::LevelerConfig::start_gap_default)
-    /// from controller code.
-    #[doc(hidden)]
-    pub fn with_default_interval(n: u64) -> Self {
-        Self::new(n, 100)
-    }
-
     /// Returns the number of logical lines served.
     pub fn logical_lines(&self) -> u64 {
         self.n

@@ -310,19 +310,9 @@ impl WearLedger {
         self.banks.iter()
     }
 
-    /// Returns the number of banks tracked.
-    pub fn bank_count(&self) -> usize {
-        self.banks.len()
-    }
-
     /// Returns total wear summed over all banks.
     pub fn total_wear(&self) -> f64 {
         self.banks.iter().map(|b| b.total_wear).sum()
-    }
-
-    /// Returns the wear of the most-worn bank.
-    pub fn max_bank_wear(&self) -> f64 {
-        self.banks.iter().fold(0.0f64, |a, b| a.max(b.total_wear))
     }
 
     /// Returns the per-block table, when tracking is enabled.
@@ -408,8 +398,8 @@ mod tests {
         l.record_write(1, None, 1.0);
         l.record_write(1, None, 1.0);
         assert!((l.total_wear() - 3.0).abs() < 1e-12);
-        assert!((l.max_bank_wear() - 2.0).abs() < 1e-12);
-        assert_eq!(l.bank_count(), 4);
+        let max_bank_wear = l.iter().fold(0.0f64, |a, b| a.max(b.total_wear));
+        assert!((max_bank_wear - 2.0).abs() < 1e-12);
         assert_eq!(l.iter().count(), 4);
     }
 

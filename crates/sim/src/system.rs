@@ -370,8 +370,8 @@ impl System {
     /// directly to one cycle before the earliest next event — a cache
     /// input head coming due, the controller's actionable memory-clock
     /// edge, or the utility-monitor sample boundary — batch-replaying
-    /// the skipped ticks' side effects (see
-    /// [`fast_forward`](Self::fast_forward)).
+    /// the skipped ticks' side effects (the jump loop,
+    /// `System::fast_forward`).
     /// [`SystemConfig::use_cycle_loop`] selects the oracle that ticks
     /// every cycle instead; it produces bit-identical results and
     /// survives for the equivalence tests.

@@ -9,6 +9,7 @@
 
 use mellow_writes::core::WritePolicy;
 use mellow_writes::engine::Duration;
+use mellow_writes::nvm::LevelerConfig;
 use mellow_writes::sim::{Experiment, Metrics};
 use mellow_writes::workloads::WorkloadSpec;
 
@@ -344,7 +345,7 @@ fn per_block_ground_truth_consistent_with_aggregate_model() {
             c.l2.size_bytes = 4 << 10;
             c.llc.size_bytes = 8 << 10;
             c.mem.capacity_bytes = 512 << 10;
-            c.mem.set_startgap_interval(4);
+            c.mem.leveler = LevelerConfig::StartGap { gap_interval: 4 };
             c.track_block_wear = true;
         });
     let mut system = experiment.build();

@@ -74,7 +74,7 @@ impl ChaosCase {
         cfg.num_banks = 4;
         cfg.num_ranks = 1;
         cfg.max_write_retries = [0, 1, 3][knobs.below(3) as usize];
-        cfg.set_spares_per_bank([0, 1, 4][knobs.below(3) as usize]);
+        cfg.spares_per_bank = [0, 1, 4][knobs.below(3) as usize];
         cfg.fault.enabled = true;
         cfg.fault.endurance_sigma = [0.0, 0.25, 1.0][knobs.below(3) as usize];
         cfg.fault.transient_rate = [0.0, 0.02, 0.2, 0.8][knobs.below(4) as usize];
@@ -174,7 +174,7 @@ impl ChaosCase {
 
         // Spares are never double-allocated and never refilled: each
         // remap consumed exactly one spare from the fixed pool.
-        let total_spares = self.cfg.num_banks as u64 * self.cfg.spares_per_bank();
+        let total_spares = self.cfg.num_banks as u64 * self.cfg.spares_per_bank;
         assert_eq!(
             f.remaps + f.spares_remaining,
             total_spares,
@@ -198,9 +198,9 @@ impl ChaosCase {
         // requires the *losing bank's* pool to be empty, which takes at
         // least one full pool's worth of remaps (pools are per bank, so
         // other banks may still hold spares).
-        if f.uncorrectable > 0 && self.cfg.spares_per_bank() > 0 {
+        if f.uncorrectable > 0 && self.cfg.spares_per_bank > 0 {
             assert!(
-                f.remaps >= self.cfg.spares_per_bank(),
+                f.remaps >= self.cfg.spares_per_bank,
                 "seed {seed}: data lost before any bank could exhaust its pool: {f:?}"
             );
         }

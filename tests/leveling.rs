@@ -113,7 +113,6 @@ fn leveler_choice_threads_through_to_metrics() {
             LevelerConfig::SoftWear {
                 epoch_writes: 64,
                 page_blocks: 64,
-                spares_per_bank: 8,
             },
             "softwear",
         ),
@@ -155,7 +154,6 @@ fn leveler_swap_preserves_timing_behavior() {
         LevelerConfig::SoftWear {
             epoch_writes: 256,
             page_blocks: 64,
-            spares_per_bank: 8,
         },
     ] {
         let m = scaled("stream", WritePolicy::norm(), 3)
@@ -174,7 +172,6 @@ struct WolframCase {
     seed: u64,
     cfg: MemConfig,
     policy: WritePolicy,
-    spares: u64,
 }
 
 impl WolframCase {
@@ -185,10 +182,9 @@ impl WolframCase {
         cfg.num_banks = 4;
         cfg.num_ranks = 1;
         cfg.max_write_retries = [0, 1, 3][knobs.below(3) as usize];
-        let spares = [0, 1, 4][knobs.below(3) as usize];
+        cfg.spares_per_bank = [0, 1, 4][knobs.below(3) as usize];
         cfg.leveler = LevelerConfig::Wolfram {
             remap_interval: [10, 50, 100][knobs.below(3) as usize],
-            spares_per_bank: spares,
         };
         cfg.fault.enabled = true;
         cfg.fault.endurance_sigma = [0.0, 0.25][knobs.below(2) as usize];
@@ -200,12 +196,7 @@ impl WolframCase {
         } else {
             WritePolicy::be_mellow_sc()
         };
-        WolframCase {
-            seed,
-            cfg,
-            policy,
-            spares,
-        }
+        WolframCase { seed, cfg, policy }
     }
 
     fn run(&self) -> Controller {
@@ -278,7 +269,7 @@ impl WolframCase {
             lv.fault_remaps, f.remaps,
             "seed {seed}: leveler and controller disagree on remaps"
         );
-        let total_spares = self.cfg.num_banks as u64 * self.spares;
+        let total_spares = self.cfg.num_banks as u64 * self.cfg.spares_per_bank;
         assert_eq!(
             f.remaps + f.spares_remaining,
             total_spares,
@@ -294,16 +285,17 @@ impl WolframCase {
 
         // Data loss requires an exhausted pool (pools are per bank, so
         // at least one bank's worth of remaps must have happened).
-        if f.uncorrectable > 0 && self.spares > 0 {
+        if f.uncorrectable > 0 && self.cfg.spares_per_bank > 0 {
             assert!(
-                f.remaps >= self.spares,
+                f.remaps >= self.cfg.spares_per_bank,
                 "seed {seed}: data lost before any bank could exhaust its pool: {f:?}"
             );
         }
 
         // Capacity accounting covers the leveler's whole physical
         // space: `blocks + spares` per bank for the WoLFRaM table.
-        let total_blocks = self.cfg.num_banks as u64 * (self.cfg.blocks_per_bank() + self.spares);
+        let total_blocks =
+            self.cfg.num_banks as u64 * (self.cfg.blocks_per_bank() + self.cfg.spares_per_bank);
         let lost = c.lost_blocks();
         assert!(lost <= total_blocks, "seed {seed}: lost {lost} blocks");
         let expect = 1.0 - lost as f64 / total_blocks as f64;
@@ -413,7 +405,7 @@ mod properties {
             prop_assert_eq!(f.verify_failures, f.retries + f.remaps + f.uncorrectable);
             prop_assert_eq!(
                 f.remaps + f.spares_remaining,
-                case.cfg.num_banks as u64 * case.spares
+                case.cfg.num_banks as u64 * case.cfg.spares_per_bank
             );
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests over the core data structures and invariants.
 
 use mellow_writes::core::{
-    decide_write, BankQueueView, UtilityMonitor, WearQuota, WearQuotaConfig, WriteDecision,
+    decide_write, wear_bound_per_period, BankQueueView, UtilityMonitor, WearQuota, WriteDecision,
     WritePolicy,
 };
 use mellow_writes::engine::{Clock, Duration, SimTime};
@@ -211,9 +211,8 @@ proptest! {
     fn quota_restriction_matches_cumulative_allowance(
         increments in proptest::collection::vec(0.0f64..30.0, 1..60),
     ) {
-        let cfg = WearQuotaConfig::paper_default(1 << 20);
-        let bound = cfg.wear_bound_per_period();
-        let mut q = WearQuota::new(cfg, 1);
+        let bound = wear_bound_per_period(5e6, 1 << 20, Duration::from_us(500), 0.9);
+        let mut q = WearQuota::new(bound, 1);
         let mut cum = 0.0;
         for inc in increments {
             cum += inc;
