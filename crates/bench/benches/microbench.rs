@@ -2,11 +2,11 @@
 //!
 //! These measure the cost of the data structures the cycle loop leans
 //! on (LRU stacks, the LLC's eager probe, Start-Gap remapping, the
-//! utility monitor, the controller tick, the core tick). End-to-end
-//! throughput of the wired system and the sweep's per-cell key cost are
-//! perfbench's (`perfbench/`), measured with repeats. These guard the
-//! simulator's own performance, not the paper's results — those come
-//! from the `figures` binary.
+//! utility monitor, the controller tick and its worked edge, the core
+//! tick). End-to-end throughput of the wired system and the sweep's
+//! per-cell key cost are perfbench's (`perfbench/`), measured with
+//! repeats. These guard the simulator's own performance, not the
+//! paper's results — those come from the `figures` binary.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mellow_core::{UtilityMonitor, WritePolicy};
@@ -177,6 +177,40 @@ fn bench_controller_tick(c: &mut Criterion) {
     });
 }
 
+fn bench_controller_worked_edge(c: &mut Criterion) {
+    // Only edges on which the controller works: a 16-bank controller is
+    // kept loaded by a deterministic stream (a read whenever fewer than
+    // 8 wait, a demand write whenever fewer than 12, an eager write
+    // whenever fewer than 4), and each iteration ticks the first edge
+    // at or past `next_event()`, as the jump loop does. Perfbench's
+    // `memctrl.tick_ns_per_edge` averages these with fast-path edges.
+    const EDGE_PS: u64 = 2500;
+    c.bench_function("controller_worked_edge", |b| {
+        let mut ctrl = traffic_controller(false);
+        let mut rng = DetRng::seed_from(5);
+        let mut cycle = 0u64;
+        b.iter(|| {
+            let now = SimTime::from_ps(cycle * EDGE_PS);
+            let (reads, writes, eager) = ctrl.queue_depths();
+            if reads < 8 {
+                ctrl.try_read(rng.below(1 << 18), now);
+            }
+            if writes < 12 {
+                ctrl.try_write(rng.below(1 << 18), now);
+            }
+            if eager < 4 && ctrl.eager_has_room() {
+                ctrl.try_eager(rng.below(1 << 18), now);
+            }
+            let due = ctrl.next_event().map_or(0, |t| t.as_ps().div_ceil(EDGE_PS));
+            cycle = due.max(cycle + 1);
+            ctrl.tick(SimTime::from_ps(cycle * EDGE_PS));
+            while ctrl.pop_read_done().is_some() {}
+            black_box(ctrl.worked_edges())
+        });
+        assert_eq!(ctrl.fast_path_edges(), 0, "every timed edge is worked");
+    });
+}
+
 fn bench_core_tick(c: &mut Criterion) {
     use mellow_cpu::{Core, CoreConfig, ReqId};
     // A bare core on hmmer's trace, whose hot set stays in the L1: each
@@ -213,6 +247,7 @@ criterion_group!(
     bench_monitor,
     bench_endurance,
     bench_controller_tick,
+    bench_controller_worked_edge,
     bench_core_tick,
 );
 criterion_main!(benches);

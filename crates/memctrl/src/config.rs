@@ -183,6 +183,10 @@ impl MemConfig {
     /// Panics on an inconsistent configuration.
     pub fn validate(&self) {
         assert!(self.num_banks > 0, "bank count must be non-zero");
+        assert!(
+            self.num_banks <= crate::bankmask::MAX_BANKS,
+            "num_banks must be at most 64: the controller's bank masks are u64"
+        );
         assert!(self.num_ranks > 0, "rank count must be non-zero");
         assert_eq!(
             self.num_banks % self.num_ranks,
@@ -311,11 +315,17 @@ mod tests {
 
     #[test]
     fn bank_variants() {
-        for (banks, ranks) in [(4, 1), (8, 2), (16, 4)] {
+        for (banks, ranks) in [(4, 1), (8, 2), (16, 4), (64, 16)] {
             let c = MemConfig::paper_default().with_banks(banks, ranks);
             c.validate();
             assert_eq!(c.num_banks, banks);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "num_banks must be at most 64")]
+    fn more_than_64_banks_rejected() {
+        MemConfig::paper_default().with_banks(128, 16).validate();
     }
 
     #[test]

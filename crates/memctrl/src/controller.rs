@@ -1,6 +1,7 @@
 //! The resistive-memory controller: queues, bank state machines, write
 //! drains, write cancellation, and the Mellow Writes issue logic.
 
+use crate::bankmask;
 use crate::queues::{QueuedReq, ReadPick, RequestQueues};
 use crate::{LineMapping, MemConfig};
 use mellow_core::{
@@ -322,12 +323,16 @@ impl InFlight {
     }
 }
 
-/// Per-bank state in struct-of-arrays layout: the hot loops
-/// ([`Controller::issue`]'s round-robin pass, the completion poll and
-/// [`Controller::compute_next_actionable`]) read one field (`busy_until`
-/// or `op_end`) across *all* banks per call, so keeping each field in
-/// its own dense lane turns those sweeps into contiguous scans instead
-/// of strided walks over a struct array.
+/// Per-bank state in struct-of-arrays layout, plus two bank masks.
+///
+/// The hot loops ([`Controller::issue`]'s round-robin pass, the
+/// completion poll, [`Controller::cancel_writes_for_reads`] and
+/// [`Controller::compute_next_actionable`]) read one field
+/// (`busy_until` or `op_end`) of the banks a mask selects, so each
+/// field lives in its own dense lane instead of a strided struct array.
+/// `busy` selects the banks the completion poll and the next-event
+/// minimum visit; `writing` together with the queues' read mask selects
+/// the cancel candidates.
 #[derive(Debug)]
 struct Banks {
     open_row: Vec<Option<u64>>,
@@ -338,6 +343,12 @@ struct Banks {
     op_end: Vec<SimTime>,
     in_flight: Vec<Option<InFlight>>,
     busy_time: Vec<Duration>,
+    /// Bit `b` set while bank `b` has an op in flight (`op_end[b]` is
+    /// not `MAX`). Written only by `set_in_flight`.
+    busy: u64,
+    /// Bit `b` set while bank `b`'s in-flight op is a (demand or eager)
+    /// write. Written only by `set_in_flight`.
+    writing: u64,
 }
 
 impl Banks {
@@ -348,6 +359,8 @@ impl Banks {
             op_end: vec![SimTime::MAX; n],
             in_flight: vec![None; n],
             busy_time: vec![Duration::ZERO; n],
+            busy: 0,
+            writing: 0,
         }
     }
 
@@ -357,16 +370,26 @@ impl Banks {
     }
 
     /// Starts (`Some`) or retires (`None`) the bank's in-flight op. The
-    /// one writer of `in_flight` and `op_end`, so the two never diverge.
+    /// one writer of `in_flight`, `op_end`, `busy` and `writing`, so they
+    /// never diverge.
     #[inline]
     fn set_in_flight(&mut self, bank: usize, op: Option<InFlight>) {
+        let bit = 1u64 << bank;
+        self.busy &= !bit;
+        self.writing &= !bit;
+        if let Some(op) = &op {
+            self.busy |= bit;
+            if op.kind != OpKind::Read {
+                self.writing |= bit;
+            }
+        }
         self.op_end[bank] = op.map_or(SimTime::MAX, |op| op.end);
         self.in_flight[bank] = op;
     }
 
-    /// The bank whose in-flight op is due by `now` with the smallest
-    /// `(end, serial)`: completions retire in end-time order, and ops
-    /// ending on the same picosecond retire in issue order.
+    /// The busy bank whose in-flight op is due by `now` with the
+    /// smallest `(end, serial)`: completions retire in end-time order,
+    /// and ops ending on the same picosecond retire in issue order.
     fn next_due(&self, now: SimTime) -> Option<usize> {
         let serial = |bank: usize| {
             self.in_flight[bank]
@@ -374,7 +397,8 @@ impl Banks {
                 .map_or(u64::MAX, |op| op.serial)
         };
         let mut due: Option<usize> = None;
-        for (bank, &end) in self.op_end.iter().enumerate() {
+        for bank in bankmask::banks(self.busy) {
+            let end = self.op_end[bank];
             if end > now {
                 continue;
             }
@@ -818,6 +842,11 @@ impl Controller {
     /// write issue — already runs through (a)–(c). A write-issue
     /// decision that is `Idle` now likewise stays `Idle` until one of
     /// those same events changes the bank's queue view.
+    ///
+    /// Cost: the completion minimum visits only the `busy` banks and the
+    /// free-bank check only the banks the queues' masks mark issueable;
+    /// only an active scrubber, which can visit any bank, costs a pass
+    /// over all of them.
     fn compute_next_actionable(&self, now: SimTime, tfaw_blocked: bool) -> SimTime {
         if self.queues.is_scan() || tfaw_blocked {
             // Scan mode is the always-full-tick reference implementation.
@@ -833,8 +862,8 @@ impl Controller {
             return SimTime::ZERO;
         }
         let mut next = SimTime::MAX;
-        for &t in &self.banks.op_end {
-            next = next.min(t);
+        for bank_idx in bankmask::banks(self.banks.busy) {
+            next = next.min(self.banks.op_end[bank_idx]);
         }
         if let Some(&(t, _)) = self.forwarded_pending.front() {
             next = next.min(t);
@@ -860,21 +889,13 @@ impl Controller {
                 next = next.min(t);
             }
         }
-        for bank_idx in 0..self.banks.len() {
-            // `decide_write` is non-idle exactly when a write is queued
-            // or an eager write is queued with no read ahead of it;
-            // OR-ed with the read check this collapses to plain queue
-            // occupancy, so no policy evaluation is needed here.
-            let issueable = if self.draining {
-                self.queues.writes_at(bank_idx) > 0
-            } else {
-                self.queues.reads_at(bank_idx) > 0
-                    || self.queues.writes_at(bank_idx) > 0
-                    || self.queues.eager_at(bank_idx) > 0
-            };
-            if !issueable {
-                continue;
-            }
+        // `decide_write` is non-idle exactly when a write is queued or an
+        // eager write is queued with no read ahead of it; OR-ed with the
+        // read check this collapses to plain queue occupancy, so no
+        // policy evaluation is needed here. The indexed layout's masks
+        // are exact (scan mode returned above). A bank with an op in
+        // flight frees at its `op_end`, already in the minimum.
+        for bank_idx in bankmask::banks(self.issueable_banks() & !self.banks.busy) {
             let busy_until = self.banks.busy_until[bank_idx];
             if busy_until <= now {
                 return SimTime::ZERO;
@@ -1221,11 +1242,14 @@ impl Controller {
         }
     }
 
+    /// Cancels or pauses writes in flight at banks where a read waits.
+    /// Visits only banks that are writing and have a queued read.
     fn cancel_writes_for_reads(&mut self, now: SimTime) {
         if self.draining {
             return; // drains must make forward progress
         }
-        for bank_idx in 0..self.banks.len() {
+        // Each visit changes only its own bank's bits.
+        for bank_idx in bankmask::banks(self.queues.read_banks() & self.banks.writing) {
             if self.queues.reads_at(bank_idx) == 0 {
                 continue;
             }
@@ -1310,15 +1334,43 @@ impl Controller {
         )
     }
 
-    /// One round-robin arbitration pass over the banks. Returns whether
-    /// any activation was blocked by tFAW (it must retry next cycle).
+    /// Banks whose queues hold work the current mode may issue: demand
+    /// writes while draining, any kind otherwise.
+    #[inline]
+    fn issueable_banks(&self) -> u64 {
+        if self.draining {
+            self.queues.write_banks()
+        } else {
+            self.queues.read_banks() | self.queues.write_banks() | self.queues.eager_banks()
+        }
+    }
+
+    /// One round-robin arbitration pass over the banks that can act:
+    /// those with no op in flight and issueable work (any bank while the
+    /// scrubber runs), visited in round-robin order from `rr_start`.
+    /// Returns whether any activation was blocked by tFAW (it must retry
+    /// next cycle).
     fn issue(&mut self, now: SimTime) -> bool {
         let n = self.banks.len();
         let start = self.rr_start;
         self.rr_start = (self.rr_start + 1) % n;
         let mut tfaw_blocked = false;
-        for i in 0..n {
-            let bank_idx = (start + i) % n;
+        // Completions have retired, so a bank with an op in flight stays
+        // busy until that op's end, past `now`: it cannot act.
+        debug_assert!(
+            bankmask::banks(self.banks.busy)
+                .all(|b| self.banks.busy_until[b] == self.banks.op_end[b]
+                    && self.banks.op_end[b] > now)
+        );
+        let candidates = if self.scrub_active() {
+            bankmask::all_banks(n)
+        } else {
+            self.issueable_banks()
+        };
+        // A visit changes only its own bank's bits (a scrub repair
+        // targets the visited bank), so the mask taken here stays exact
+        // for the banks still to come.
+        for bank_idx in bankmask::banks_from(candidates & !self.banks.busy, start) {
             if now < self.banks.busy_until[bank_idx] {
                 continue;
             }
@@ -1327,6 +1379,7 @@ impl Controller {
                 if self.queues.writes_at(bank_idx) > 0 {
                     let view = self.bank_view(bank_idx);
                     let speed = demand_speed(&self.policy, view);
+                    self.debug_check_write_issue(bank_idx, view, OpKind::DemandWrite, speed);
                     let req = self
                         .queues
                         .take_write(bank_idx)
@@ -1357,6 +1410,7 @@ impl Controller {
             let view = self.bank_view(bank_idx);
             match decide_write(&self.policy, view) {
                 WriteDecision::Demand(speed) => {
+                    self.debug_check_write_issue(bank_idx, view, OpKind::DemandWrite, speed);
                     let req = self
                         .queues
                         .take_write(bank_idx)
@@ -1369,6 +1423,7 @@ impl Controller {
                 WriteDecision::Eager(speed) => {
                     // Eager writes and scrub visits both live off
                     // idle-bank windows; the eager write wins.
+                    self.debug_check_write_issue(bank_idx, view, OpKind::EagerWrite, speed);
                     let req = self
                         .queues
                         .take_eager(bank_idx)
@@ -1386,6 +1441,49 @@ impl Controller {
             }
         }
         tfaw_blocked
+    }
+
+    /// Debug builds: the paper's issue-path invariants for a write about
+    /// to issue to `bank_idx`, whose queues `view` shows (the write
+    /// included). An Eager write (§IV-B) goes only to an otherwise idle
+    /// bank — nothing in flight, no queued read or demand write — and
+    /// goes slow whenever the bank is over its Wear Quota or the base
+    /// policy writes eager data slow. A Bank-Aware slow demand write
+    /// (§IV-A) that the quota did not force is its bank's lone queued
+    /// op.
+    fn debug_check_write_issue(
+        &self,
+        bank_idx: usize,
+        view: BankQueueView,
+        kind: OpKind,
+        speed: WriteSpeed,
+    ) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        let base = self.policy.base;
+        match kind {
+            OpKind::EagerWrite => {
+                debug_assert!(
+                    self.banks.busy & 1 << bank_idx == 0
+                        && view.reads_waiting == 0
+                        && view.writes_waiting == 0,
+                    "eager write issued to non-idle bank {bank_idx}: {view:?}"
+                );
+                if view.quota_exceeded || base.eager_speed() == WriteSpeed::Slow {
+                    debug_assert_eq!(speed, WriteSpeed::Slow, "eager write at {view:?}");
+                }
+            }
+            OpKind::DemandWrite => {
+                if base.bank_aware() && speed == WriteSpeed::Slow && !view.quota_exceeded {
+                    debug_assert!(
+                        view.writes_waiting == 1 && view.reads_waiting == 0,
+                        "bank-aware slow write to bank {bank_idx} with other work: {view:?}"
+                    );
+                }
+            }
+            OpKind::Read => {}
+        }
     }
 
     /// Returns `false` when tFAW blocks the needed activation (the read
@@ -1763,6 +1861,28 @@ mod tests {
         assert_eq!(c.pop_read_done(), Some(3), "older op must retire first");
         assert_eq!(c.pop_read_done(), Some(1));
         assert!(c.banks.op_end.iter().all(|&t| t == SimTime::MAX));
+    }
+
+    #[test]
+    fn round_robin_origin_decides_which_free_bank_gets_the_bus_first() {
+        // Banks 1 and 3 each hold one read and are free on the same
+        // edge. Both reads issue on it, and the bank visited first takes
+        // the shared bus first, so its read returns first.
+        for (origin, order) in [(0, [1, 3]), (1, [1, 3]), (2, [3, 1]), (3, [3, 1])] {
+            let mut c = Controller::new(
+                small_cfg(),
+                WritePolicy::norm(),
+                EnduranceModel::reram_default(),
+                CancelWear::Prorated,
+            );
+            c.fast_forward_idle(MemCycles::new(origin));
+            for line in [1, 3] {
+                assert!(c.try_read(line, SimTime::ZERO));
+            }
+            drain(&mut c, 200);
+            let done: Vec<_> = std::iter::from_fn(|| c.pop_read_done()).collect();
+            assert_eq!(done, order, "round-robin origin {origin}");
+        }
     }
 
     #[test]

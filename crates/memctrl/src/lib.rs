@@ -14,6 +14,7 @@
 //!
 //! See [`Controller`] for the driving protocol and an example.
 
+mod bankmask;
 mod config;
 mod controller;
 mod queues;

@@ -16,7 +16,15 @@
 //! [`MemConfig::use_scan_queues`](crate::MemConfig) so that equivalence
 //! is continuously *tested* (see `tests/properties.rs` and the
 //! end-to-end workload sweep), not assumed.
+//!
+//! The indexed layout also keeps one bank mask per kind: bit `b` is set
+//! exactly when bank `b`'s sub-queue is non-empty, so the controller's
+//! per-edge passes visit only banks with queued work. The scan layout
+//! reports every bank in each mask; the controller's per-bank occupancy
+//! checks then do the filtering, and the oracle compares exact masks
+//! against a full visit.
 
+use crate::bankmask;
 use crate::LineMapping;
 use mellow_engine::SimTime;
 use std::collections::VecDeque;
@@ -85,7 +93,12 @@ pub(crate) enum RequestQueues {
 impl RequestQueues {
     pub(crate) fn new(num_banks: usize, scan: bool) -> Self {
         if scan {
-            RequestQueues::Scan(ScanQueues::default())
+            RequestQueues::Scan(ScanQueues {
+                all_banks: bankmask::all_banks(num_banks),
+                read: VecDeque::new(),
+                write: VecDeque::new(),
+                eager: VecDeque::new(),
+            })
         } else {
             RequestQueues::Indexed(IndexedQueues::new(num_banks))
         }
@@ -120,6 +133,33 @@ impl RequestQueues {
         }
     }
 
+    /// Banks with a queued read (every bank in the scan layout).
+    #[inline]
+    pub(crate) fn read_banks(&self) -> u64 {
+        match self {
+            RequestQueues::Scan(q) => q.all_banks,
+            RequestQueues::Indexed(q) => q.read_mask,
+        }
+    }
+
+    /// Banks with a queued demand write (every bank in the scan layout).
+    #[inline]
+    pub(crate) fn write_banks(&self) -> u64 {
+        match self {
+            RequestQueues::Scan(q) => q.all_banks,
+            RequestQueues::Indexed(q) => q.write_mask,
+        }
+    }
+
+    /// Banks with a queued eager write (every bank in the scan layout).
+    #[inline]
+    pub(crate) fn eager_banks(&self) -> u64 {
+        match self {
+            RequestQueues::Scan(q) => q.all_banks,
+            RequestQueues::Indexed(q) => q.eager_mask,
+        }
+    }
+
     /// Queued reads targeting `bank`.
     pub(crate) fn reads_at(&self, bank: usize) -> usize {
         match self {
@@ -150,6 +190,8 @@ impl RequestQueues {
             RequestQueues::Indexed(q) => {
                 q.read[req.bank].push_back(req);
                 q.read_total += 1;
+                q.read_mask |= 1 << req.bank;
+                q.check_masks();
             }
         }
     }
@@ -160,6 +202,8 @@ impl RequestQueues {
             RequestQueues::Indexed(q) => {
                 q.write[req.bank].push_back(req);
                 q.write_total += 1;
+                q.write_mask |= 1 << req.bank;
+                q.check_masks();
             }
         }
     }
@@ -170,6 +214,8 @@ impl RequestQueues {
             RequestQueues::Indexed(q) => {
                 q.eager[req.bank].push_back(req);
                 q.eager_total += 1;
+                q.eager_mask |= 1 << req.bank;
+                q.check_masks();
             }
         }
     }
@@ -189,10 +235,13 @@ impl RequestQueues {
                 if eager {
                     q.eager[req.bank].push_front(req);
                     q.eager_total += 1;
+                    q.eager_mask |= 1 << req.bank;
                 } else {
                     q.write[req.bank].push_front(req);
                     q.write_total += 1;
+                    q.write_mask |= 1 << req.bank;
                 }
+                q.check_masks();
             }
         }
     }
@@ -254,10 +303,13 @@ impl RequestQueues {
                 q.read.remove(pick.idx).expect("pick handle valid");
             }
             RequestQueues::Indexed(q) => {
-                q.read[pick.bank]
-                    .remove(pick.idx)
-                    .expect("pick handle valid");
+                let sub = &mut q.read[pick.bank];
+                sub.remove(pick.idx).expect("pick handle valid");
+                if sub.is_empty() {
+                    q.read_mask &= !(1 << pick.bank);
+                }
                 q.read_total -= 1;
+                q.check_masks();
             }
         }
     }
@@ -270,8 +322,13 @@ impl RequestQueues {
                 q.write.remove(idx)
             }
             RequestQueues::Indexed(q) => {
-                let req = q.write[bank].pop_front()?;
+                let sub = &mut q.write[bank];
+                let req = sub.pop_front()?;
+                if sub.is_empty() {
+                    q.write_mask &= !(1 << bank);
+                }
                 q.write_total -= 1;
+                q.check_masks();
                 Some(req)
             }
         }
@@ -285,8 +342,13 @@ impl RequestQueues {
                 q.eager.remove(idx)
             }
             RequestQueues::Indexed(q) => {
-                let req = q.eager[bank].pop_front()?;
+                let sub = &mut q.eager[bank];
+                let req = sub.pop_front()?;
+                if sub.is_empty() {
+                    q.eager_mask &= !(1 << bank);
+                }
                 q.eager_total -= 1;
+                q.check_masks();
                 Some(req)
             }
         }
@@ -294,15 +356,17 @@ impl RequestQueues {
 }
 
 /// The legacy layout: three shared FIFOs in arrival order.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub(crate) struct ScanQueues {
+    /// Every bank: the mask each `*_banks` query reports.
+    all_banks: u64,
     read: VecDeque<QueuedReq>,
     write: VecDeque<QueuedReq>,
     eager: VecDeque<QueuedReq>,
 }
 
 /// The indexed layout: one sub-queue per `(kind, bank)` plus cached
-/// totals, so occupancy questions never walk a queue.
+/// totals and bank masks, so occupancy questions never walk a queue.
 #[derive(Debug)]
 pub(crate) struct IndexedQueues {
     read: Vec<VecDeque<QueuedReq>>,
@@ -311,6 +375,10 @@ pub(crate) struct IndexedQueues {
     read_total: usize,
     write_total: usize,
     eager_total: usize,
+    /// Bit `b` set exactly when `read[b]` is non-empty; likewise below.
+    read_mask: u64,
+    write_mask: u64,
+    eager_mask: u64,
 }
 
 impl IndexedQueues {
@@ -322,6 +390,25 @@ impl IndexedQueues {
             read_total: 0,
             write_total: 0,
             eager_total: 0,
+            read_mask: 0,
+            write_mask: 0,
+            eager_mask: 0,
+        }
+    }
+
+    /// Debug builds: every mask equals its set of non-empty sub-queues.
+    #[inline]
+    fn check_masks(&self) {
+        if cfg!(debug_assertions) {
+            let occupied = |subs: &[VecDeque<QueuedReq>]| {
+                subs.iter()
+                    .enumerate()
+                    .filter(|(_, sub)| !sub.is_empty())
+                    .fold(0u64, |mask, (bank, _)| mask | 1 << bank)
+            };
+            debug_assert_eq!(self.read_mask, occupied(&self.read), "read mask");
+            debug_assert_eq!(self.write_mask, occupied(&self.write), "write mask");
+            debug_assert_eq!(self.eager_mask, occupied(&self.eager), "eager mask");
         }
     }
 }
@@ -410,6 +497,39 @@ mod tests {
             q.take_write(0);
             assert!(!q.has_queued_write(30, 0));
         }
+    }
+
+    #[test]
+    fn bank_masks_mark_non_empty_sub_queues() {
+        let [mut scan, mut q] = both();
+        // The scan layout leaves filtering to the per-bank counts.
+        scan.push_read(req(0, 0, 0));
+        assert_eq!(
+            (scan.read_banks(), scan.write_banks(), scan.eager_banks()),
+            (0b1111, 0b1111, 0b1111)
+        );
+        q.push_read(req(0, 0, 0));
+        q.push_read(req(4, 0, 1));
+        q.push_write(req(2, 2, 0));
+        q.push_eager(req(3, 3, 0));
+        assert_eq!(
+            (q.read_banks(), q.write_banks(), q.eager_banks()),
+            (0b0001, 0b0100, 0b1000)
+        );
+        // A bit clears only when its bank's last entry leaves.
+        let (_, pick) = q.pick_read(0, None).unwrap();
+        q.remove_read(pick);
+        assert_eq!(q.read_banks(), 0b0001);
+        let (_, pick) = q.pick_read(0, None).unwrap();
+        q.remove_read(pick);
+        assert_eq!(q.read_banks(), 0);
+        let w = q.take_write(2).unwrap();
+        let e = q.take_eager(3).unwrap();
+        assert_eq!((q.write_banks(), q.eager_banks()), (0, 0));
+        // Re-queued writes set their bank's bit again.
+        q.requeue_front(w, false);
+        q.requeue_front(e, true);
+        assert_eq!((q.write_banks(), q.eager_banks()), (0b0100, 0b1000));
     }
 
     #[test]

@@ -269,18 +269,23 @@ proptest! {
     }
 
     /// The memory controller's indexed per-bank queues issue in exactly
-    /// the order of the legacy shared-FIFO scan layout: for any policy
-    /// and any request stream, every counter, the wear total, and the
-    /// final queue occupancies agree bit for bit.
+    /// the order of the legacy shared-FIFO scan layout: for any policy,
+    /// bank count and request stream, every counter, the wear total, and
+    /// the final queue occupancies agree bit for bit. The indexed layout
+    /// visits only the banks its masks mark; the scan layout visits every
+    /// bank, so this also checks the masks against a full visit, up to
+    /// the 64-bank limit of a `u64` mask.
     #[test]
     fn controller_queue_layouts_equivalent(
         policy in arb_policy(),
+        shape in 0usize..4,
         ops in proptest::collection::vec((0u8..12, 0u64..1024), 0..300),
     ) {
         use mellow_writes::memctrl::{Controller, MemConfig};
 
+        let (banks, ranks) = [(4, 1), (8, 2), (16, 4), (64, 16)][shape];
         let run = |scan: bool| {
-            let mut cfg = MemConfig::paper_default();
+            let mut cfg = MemConfig::paper_default().with_banks(banks, ranks);
             cfg.capacity_bytes = 1 << 22; // small: dense bank/line collisions
             cfg.sample_period = Duration::from_us(2);
             cfg.use_scan_queues = scan;
