@@ -16,13 +16,12 @@
 //! | L6 | `rng-discipline` | `DetRng` streams come from named derivation constructors; no clones |
 //!
 //! The rules are trait objects in a [`rules::registry`] sharing one lexing
-//! pass per file. Violations are diffed against a committed [`baseline`]
-//! (`lint-baseline.toml`); only *new* violations — or stale baseline
-//! entries — fail the build, so the baseline can only shrink over time.
+//! pass per file. Any violation fails the build; the only waiver is an
+//! inline `// mellow-lint: allow(<rule>) -- reason` comment on the line (or
+//! the line above) that it covers.
 //!
 //! Run it with `cargo run -p mellow-lint` from anywhere in the workspace.
 
-pub mod baseline;
 pub mod lexer;
 pub mod rules;
 pub mod runner;
@@ -46,7 +45,7 @@ pub enum Rule {
 }
 
 impl Rule {
-    /// The stable name used in diagnostics, baselines and allow-comments.
+    /// The stable name used in diagnostics and allow-comments.
     pub fn name(self) -> &'static str {
         match self {
             Rule::ClockDomain => "clock-domain",
@@ -55,11 +54,6 @@ impl Rule {
             Rule::StatsExhaustiveness => "stats-exhaustiveness",
             Rule::RngDiscipline => "rng-discipline",
         }
-    }
-
-    /// Inverse of [`Rule::name`].
-    pub fn from_name(name: &str) -> Option<Rule> {
-        Rule::ALL.into_iter().find(|r| r.name() == name)
     }
 
     /// All rules, for iteration in reports.

@@ -1,41 +1,27 @@
-//! CLI for the workspace lint. Exit codes: 0 clean, 1 violations (new or
-//! stale baseline entries), 2 usage or I/O error.
+//! CLI for the workspace lint. It takes no options: it scans the
+//! workspace that contains the current directory and prints one line per
+//! violation, then a per-rule summary. Under GitHub Actions (`GITHUB_ACTIONS`
+//! set) each violation is printed as an `::error` annotation instead, so it
+//! lands inline on the PR diff. Exit codes: 0 clean, 1 violations, 2 usage
+//! or I/O error.
 
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use mellow_lint::baseline::Baseline;
-use mellow_lint::runner;
+use mellow_lint::{runner, Violation};
 
 const USAGE: &str = "\
 mellow-lint — workspace static-analysis pass
 
 USAGE:
-    cargo run -p mellow-lint [--release] -- [OPTIONS]
+    cargo run -p mellow-lint [--release]
+
+Scans the workspace containing the current directory. Waive a deliberate
+site inline with `// mellow-lint: allow(<rule>) -- reason`.
 
 OPTIONS:
-    --root <DIR>        Workspace root (default: auto-detected)
-    --baseline <FILE>   Baseline path (default: <root>/lint-baseline.toml)
-    --write-baseline    Rewrite the baseline to cover current violations
-    --list              Print every violation, including baselined ones
-    --format <FMT>      Output format: text (default), json, or github
-                        (GitHub Actions `::error` annotations)
     -h, --help          Show this help
 ";
-
-/// How violations are rendered on stdout.
-#[derive(Clone, Copy, PartialEq)]
-enum Format {
-    /// Human-readable lines plus a summary (the default).
-    Text,
-    /// One JSON document with every violation, the baseline diff, and
-    /// per-rule counts — for tooling that ingests the whole report.
-    Json,
-    /// GitHub Actions workflow commands: one `::error` annotation per
-    /// fresh violation or stale baseline entry, so CI failures land as
-    /// inline PR annotations.
-    Github,
-}
 
 /// Finds the workspace root: the nearest ancestor of `start` whose
 /// `Cargo.toml` declares `[workspace]`, falling back to this crate's
@@ -55,60 +41,18 @@ fn find_root(start: &Path) -> PathBuf {
 }
 
 fn main() -> ExitCode {
-    let mut root: Option<PathBuf> = None;
-    let mut baseline_path: Option<PathBuf> = None;
-    let mut write_baseline = false;
-    let mut list = false;
-    let mut format = Format::Text;
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--root" => match args.next() {
-                Some(v) => root = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--root requires a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_path = Some(PathBuf::from(v)),
-                None => {
-                    eprintln!("--baseline requires a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--write-baseline" => write_baseline = true,
-            "--list" => list = true,
-            "--format" => match args.next().as_deref() {
-                Some("text") => format = Format::Text,
-                Some("json") => format = Format::Json,
-                Some("github") => format = Format::Github,
-                Some(other) => {
-                    eprintln!("--format must be text, json, or github, got `{other}`\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-                None => {
-                    eprintln!("--format requires a value\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            other => {
-                eprintln!("unknown option `{other}`\n{USAGE}");
-                return ExitCode::from(2);
-            }
+    if let Some(arg) = std::env::args().nth(1) {
+        if arg == "-h" || arg == "--help" {
+            print!("{USAGE}");
+            return ExitCode::SUCCESS;
         }
+        eprintln!("unknown option `{arg}`\n{USAGE}");
+        return ExitCode::from(2);
     }
 
     let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    let root = root.unwrap_or_else(|| find_root(&cwd));
-    let baseline_path = baseline_path.unwrap_or_else(|| root.join("lint-baseline.toml"));
-
-    let all = match runner::collect_violations(&root) {
+    let root = find_root(&cwd);
+    let violations = match runner::collect_violations(&root) {
         Ok(v) => v,
         Err(e) => {
             eprintln!("mellow-lint: failed to scan {}: {e}", root.display());
@@ -116,134 +60,29 @@ fn main() -> ExitCode {
         }
     };
 
-    if write_baseline {
-        let text = runner::baseline_for(&all).render();
-        if let Err(e) = std::fs::write(&baseline_path, text) {
-            eprintln!("mellow-lint: cannot write {}: {e}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "mellow-lint: wrote baseline with {} entr{} to {}",
-            all.len(),
-            if all.len() == 1 { "y" } else { "ies" },
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let baseline = match Baseline::load(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("mellow-lint: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let report = runner::diff(all, &baseline);
-
-    match format {
-        Format::Text => print_text(&report, list),
-        Format::Json => print_json(&report),
-        Format::Github => print_github(&report),
-    }
-
-    if report.is_clean() {
-        ExitCode::SUCCESS
-    } else {
-        ExitCode::from(1)
-    }
-}
-
-/// The default human-readable report: each fresh violation (plus every
-/// baselined one under `--list`), stale baseline entries, and a
-/// per-rule summary line.
-fn print_text(report: &runner::Report, list: bool) {
-    if list {
-        for v in &report.all {
+    let github = std::env::var_os("GITHUB_ACTIONS").is_some();
+    for v in &violations {
+        if github {
+            println!("{}", github_annotation(v));
+        } else {
             println!("{v}");
         }
     }
-    for v in &report.fresh {
-        println!("{v}");
-    }
-    for e in &report.stale {
-        println!(
-            "{}:{}: [baseline] stale entry for rule `{}` — violation no longer fires, remove it",
-            e.file, e.line, e.rule
-        );
-    }
-
-    let summary: Vec<String> = runner::counts(&report.all)
+    let summary: Vec<String> = runner::counts(&violations)
         .iter()
         .map(|(r, n)| format!("{r}: {n}"))
         .collect();
     println!(
-        "mellow-lint: {} file-scoped violation(s) ({}); {} new, {} stale baseline entr{}",
-        report.all.len(),
-        summary.join(", "),
-        report.fresh.len(),
-        report.stale.len(),
-        if report.stale.len() == 1 { "y" } else { "ies" },
+        "mellow-lint: {} violation(s) ({})",
+        violations.len(),
+        summary.join(", ")
     );
-}
 
-/// Escapes a string for a JSON string literal (the lint crate is
-/// dependency-free, so the document is rendered by hand).
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+    if violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::from(1)
     }
-    out
-}
-
-/// One JSON document on stdout with every violation (`baselined`
-/// marking the suppressed ones), stale baseline entries, per-rule
-/// counts, and the overall verdict.
-fn print_json(report: &runner::Report) {
-    let fresh: std::collections::HashSet<(&str, u32, &str)> = report
-        .fresh
-        .iter()
-        .map(|v| (v.file.as_str(), v.line, v.rule.name()))
-        .collect();
-    let mut out = String::from("{\n  \"violations\": [");
-    for (i, v) in report.all.iter().enumerate() {
-        let baselined = !fresh.contains(&(v.file.as_str(), v.line, v.rule.name()));
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \
-             \"baselined\": {}}}",
-            v.rule.name(),
-            json_escape(&v.file),
-            v.line,
-            json_escape(&v.message),
-            baselined
-        ));
-    }
-    out.push_str("\n  ],\n  \"stale_baseline\": [");
-    for (i, e) in report.stale.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!(
-            "    {{\"rule\": \"{}\", \"file\": \"{}\", \"line\": {}}}",
-            json_escape(&e.rule),
-            json_escape(&e.file),
-            e.line
-        ));
-    }
-    out.push_str("\n  ],\n  \"counts\": {");
-    for (i, (r, n)) in runner::counts(&report.all).iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str(&format!("    \"{}\": {n}", r.name()));
-    }
-    out.push_str(&format!("\n  }},\n  \"clean\": {}\n}}", report.is_clean()));
-    println!("{out}");
 }
 
 /// Escapes the free-text (message) part of a GitHub Actions workflow
@@ -262,26 +101,13 @@ fn github_escape_prop(s: &str) -> String {
         .replace(':', "%3A")
 }
 
-/// GitHub Actions annotations: one `::error` per fresh violation and
-/// per stale baseline entry, so a failing CI lint step surfaces inline
-/// on the PR diff. Baselined violations are intentionally silent.
-fn print_github(report: &runner::Report) {
-    for v in &report.fresh {
-        println!(
-            "::error file={},line={},title=mellow-lint {}::{}",
-            github_escape_prop(&v.file),
-            v.line,
-            github_escape_prop(v.rule.name()),
-            github_escape_data(&v.message)
-        );
-    }
-    for e in &report.stale {
-        println!(
-            "::error file={},line={},title=mellow-lint baseline::stale entry for rule `{}` — \
-             violation no longer fires, remove it from lint-baseline.toml",
-            github_escape_prop(&e.file),
-            e.line,
-            github_escape_data(&e.rule)
-        );
-    }
+/// One violation as a GitHub Actions `::error` workflow command.
+fn github_annotation(v: &Violation) -> String {
+    format!(
+        "::error file={},line={},title=mellow-lint {}::{}",
+        github_escape_prop(&v.file),
+        v.line,
+        github_escape_prop(v.rule.name()),
+        github_escape_data(&v.message)
+    )
 }

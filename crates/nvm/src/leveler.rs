@@ -22,8 +22,7 @@
 //!   physical page.
 //!
 //! All three keep per-bank overhead/migration counters
-//! ([`LevelerStats`]) and serialize their registers to JSON for
-//! inspection ([`WearLeveler::state_json`]).
+//! ([`LevelerStats`]).
 
 use crate::StartGap;
 use mellow_engine::json::Json;
@@ -310,9 +309,6 @@ pub trait WearLeveler: fmt::Debug + Send {
             acc.add(&self.bank_stats(b))
         })
     }
-
-    /// The scheme's registers and tables, serialized for inspection.
-    fn state_json(&self) -> Json;
 }
 
 // ---------------------------------------------------------------------
@@ -396,22 +392,6 @@ impl WearLeveler for StartGapLeveler {
             migrations: self.banks[bank].overhead_writes(),
             fault_remaps: 0,
         }
-    }
-
-    fn state_json(&self) -> Json {
-        Json::Arr(
-            self.banks
-                .iter()
-                .map(|sg| {
-                    let (start, gap) = sg.registers();
-                    Json::obj([
-                        ("start", Json::from(start)),
-                        ("gap", Json::from(gap)),
-                        ("overhead_writes", Json::from(sg.overhead_writes())),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -606,30 +586,6 @@ impl WearLeveler for WolframLeveler {
             migrations: b.migrations,
             fault_remaps: b.fault_remaps,
         }
-    }
-
-    fn state_json(&self) -> Json {
-        Json::Arr(
-            self.banks
-                .iter()
-                .map(|b| {
-                    Json::obj([
-                        ("cursor", Json::from(b.cursor)),
-                        ("since_rotate", Json::from(b.since_rotate as u64)),
-                        ("spares_used", Json::from(b.spares_used)),
-                        (
-                            "table",
-                            Json::Arr(
-                                b.table
-                                    .iter()
-                                    .map(|(&l, &p)| Json::Arr(vec![Json::from(l), Json::from(p)]))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -836,29 +792,6 @@ impl WearLeveler for SoftWearLeveler {
             migrations: b.migrations,
             fault_remaps: 0,
         }
-    }
-
-    fn state_json(&self) -> Json {
-        Json::Arr(
-            self.banks
-                .iter()
-                .map(|b| {
-                    Json::obj([
-                        ("cold_cursor", Json::from(b.cold_cursor)),
-                        ("since_epoch", Json::from(b.since_epoch)),
-                        (
-                            "pages",
-                            Json::Arr(
-                                b.pages
-                                    .iter()
-                                    .map(|(&l, &p)| Json::Arr(vec![Json::from(l), Json::from(p)]))
-                                    .collect(),
-                            ),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -1068,23 +1001,6 @@ mod tests {
             LevelerConfig::default(),
             LevelerConfig::StartGap { gap_interval: 100 }
         );
-    }
-
-    #[test]
-    fn state_json_serializes() {
-        for mut lv in all_levelers() {
-            let mut moved = Vec::new();
-            for i in 0..40 {
-                lv.note_write(0, i % BLOCKS, &mut moved);
-                moved.clear();
-            }
-            let text = lv.state_json().to_string();
-            assert!(
-                mellow_engine::json::Json::parse(&text).is_ok(),
-                "{}: {text}",
-                lv.name()
-            );
-        }
     }
 
     #[test]

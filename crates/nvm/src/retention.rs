@@ -130,8 +130,6 @@ pub enum ReadVerify {
 /// write.
 #[derive(Debug, Clone, Copy)]
 struct BlockRetention {
-    /// When the current data was written.
-    written_at: SimTime,
     /// When the data decays past the readable margin.
     deadline: SimTime,
     /// Completed writes the block has absorbed, part of the deadline
@@ -227,7 +225,6 @@ impl RetentionState {
         self.banks[bank].insert(
             block,
             BlockRetention {
-                written_at: now,
                 deadline,
                 generation,
             },
@@ -257,11 +254,6 @@ impl RetentionState {
     /// The block's current drift deadline, if it has ever been written.
     pub fn deadline(&self, bank: usize, block: u64) -> Option<SimTime> {
         self.banks[bank].get(&block).map(|b| b.deadline)
-    }
-
-    /// When the block's current data was written, if ever.
-    pub fn written_at(&self, bank: usize, block: u64) -> Option<SimTime> {
-        self.banks[bank].get(&block).map(|b| b.written_at)
     }
 
     /// The deterministic lognormal deadline scale of write `generation`
